@@ -1,18 +1,18 @@
-//! Criterion micro-benchmarks of the simulator execution core:
-//! tree-walking interpretation vs. compile-once bytecode on
-//! representative combinational (`alu_8`) and sequential (`shift18`)
-//! testbench runs, plus the per-run elaboration cost the elaboration
-//! cache removes. The `bench_sim` binary emits the machine-readable
-//! `BENCH_sim.json` from the same workload.
+//! Criterion micro-benchmarks of the simulator on representative
+//! combinational (`alu_8`) and sequential (`shift18`) testbench runs:
+//! one simulation of an already-elaborated design, and the per-run
+//! elaboration cost the elaboration cache removes. The `bench_sim`
+//! binary emits the machine-readable `BENCH_sim.json` from the same
+//! workload.
 
-use correctbench_tbgen::{compile_pair, generate_driver, generate_scenarios, limits_for};
+use correctbench_tbgen::{elaborate_pair, generate_driver, generate_scenarios, limits_for};
 use correctbench_verilog::ast::SourceFile;
-use correctbench_verilog::{CompiledDesign, ExecMode, Simulator};
+use correctbench_verilog::{Design, Simulator};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 struct Prepared {
     name: &'static str,
-    compiled: CompiledDesign,
+    design: Design,
     dut: SourceFile,
     driver: SourceFile,
     limits: correctbench_verilog::SimLimits,
@@ -24,43 +24,33 @@ fn prepare(name: &'static str) -> Prepared {
     let driver =
         correctbench_verilog::parse(&generate_driver(&problem, &scenarios)).expect("driver");
     let dut = correctbench_verilog::parse(&problem.golden_rtl).expect("golden");
-    let compiled = compile_pair(&dut, &driver).expect("elaborate");
+    let design = elaborate_pair(&dut, &driver).expect("elaborate");
     Prepared {
         name,
-        compiled,
+        design,
         dut,
         driver,
         limits: limits_for(&scenarios),
     }
 }
 
-fn bench_exec_modes(c: &mut Criterion) {
+fn bench_simulate(c: &mut Criterion) {
     for p in [prepare("alu_8"), prepare("shift18")] {
-        c.bench_function(&format!("sim_tree_walk_{}", p.name), |b| {
+        c.bench_function(&format!("simulate_{}", p.name), |b| {
             b.iter(|| {
                 black_box(
-                    Simulator::from_compiled_with_limits(&p.compiled, p.limits)
-                        .with_mode(ExecMode::TreeWalk)
-                        .run()
-                        .expect("run"),
-                )
-            })
-        });
-        c.bench_function(&format!("sim_bytecode_{}", p.name), |b| {
-            b.iter(|| {
-                black_box(
-                    Simulator::from_compiled_with_limits(&p.compiled, p.limits)
+                    Simulator::with_limits(&p.design, p.limits)
                         .run()
                         .expect("run"),
                 )
             })
         });
         // What the elaboration cache saves on every hit.
-        c.bench_function(&format!("elaborate_compile_{}", p.name), |b| {
-            b.iter(|| black_box(compile_pair(&p.dut, &p.driver).expect("elaborate")))
+        c.bench_function(&format!("elaborate_{}", p.name), |b| {
+            b.iter(|| black_box(elaborate_pair(&p.dut, &p.driver).expect("elaborate")))
         });
     }
 }
 
-criterion_group!(benches, bench_exec_modes);
+criterion_group!(benches, bench_simulate);
 criterion_main!(benches);

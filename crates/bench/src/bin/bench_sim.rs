@@ -1,28 +1,19 @@
 //! `bench_sim`: the simulation-core micro-benchmark behind the
 //! `BENCH_sim.json` perf trajectory.
 //!
-//! Measures the end-to-end testbench hot path — combine DUT + driver,
-//! elaborate, execute, judge against the checker — on representative
-//! combinational and sequential problems, in three configurations:
+//! Every arm is one closure timed over interleaved samples; the report
+//! gives each arm's median with its p25–p75 spread, and each pair of
+//! arms that isolates one layer gives a speedup:
 //!
-//! * `tree_walk_ns` — re-elaborate every run (no compile stage — the
-//!   pre-bytecode pipeline had none) and execute with the tree-walking
-//!   interpreter: the shape of the pre-bytecode hot path (which
-//!   additionally deep-cloned each executed instruction, so the
-//!   historical baseline was strictly slower than this arm).
-//! * `bytecode_ns` — re-elaborate *and recompile* every run, execute
-//!   bytecode: the elaboration-cache miss path.
-//! * `bytecode_cached_ns` — execute bytecode against the pre-compiled
-//!   design: the steady-state path `run_testbench_parsed` takes on an
-//!   elaboration-cache hit.
-//!
-//! Two further interleaved comparisons capture the session API:
-//!
+//! * `elab_simulate_ns` vs `cached_simulate_ns` — the elaboration
+//!   cache: combine DUT + driver, elaborate and simulate (the cache-miss
+//!   path of `run_testbench_parsed`), against simulating an
+//!   already-elaborated `Design` (the cache-hit path).
 //! * `one_shot_sweep_ns` vs `session_sweep_ns` — a repeated-pair sweep
 //!   (the RS-matrix / Eval2 shape) through the legacy one-shot path
-//!   (per-run elaborate + compile, fresh simulator, interpreted judge)
-//!   and through one reusable `EvalSession` (simulator reset, compiled
-//!   judge, session design memo).
+//!   (per-run elaborate, fresh simulator, interpreted judge) and through
+//!   one reusable `EvalSession` (simulator reset, compiled judge,
+//!   session design memo).
 //! * `judge_interp_ns` vs `judge_session_ns` — judging one pre-captured
 //!   record stream with the interpreter (`judge_records`) and with the
 //!   session's compiled checker.
@@ -35,10 +26,10 @@
 //!   evaluation session by constructing it (checker compile + binding
 //!   resolution, the per-job cost the validator and AutoEval used to
 //!   pay) and by leasing it from an installed `EvalContext` pool.
-//! * `bytecode_cached_ns` vs `hot_path_obs_ns` — the same steady-state
-//!   hot path with no observability collector armed (spans and counter
-//!   probes short-circuit on the thread-local check) and with a live
-//!   per-job collector installed (`ObsStack::enabled`), pinning the
+//! * `cached_simulate_ns` vs `hot_path_obs_ns` — the same simulation
+//!   with no observability collector armed (spans and counter probes
+//!   short-circuit on the thread-local check) and with a live per-job
+//!   collector installed (`ObsStack::enabled`), pinning the
 //!   enabled-span overhead the harness pays per job.
 //! * `golden_derive_ns` vs `golden_cached_ns` — acquiring the
 //!   per-problem golden evaluation bundle (golden testbench generation,
@@ -65,22 +56,11 @@
 //!   sweep's `metrics.json`) and recorded via `--lint-warn-overhead`.
 //!
 //! ```text
-//! bench_sim [--quick] [--samples N] [--out FILE]
-//!           [--baseline NAME=NS]... [--baseline-commit HASH]
-//!           [--lint-warn-overhead PCT]
+//! bench_sim [--quick] [--samples N] [--out FILE] [--lint-warn-overhead PCT]
 //! ```
 //!
-//! Writes `BENCH_sim.json` (default, in the working directory) with the
-//! per-problem medians in nanoseconds and the speedup of the new hot
-//! path over the tree-walker. `--quick` is the CI smoke mode.
-//!
-//! The *pre-PR* simulator (per-step instruction deep-clones, heap-backed
-//! `LogicVec`) no longer exists in this tree, so it cannot be re-run
-//! here; `--baseline NAME=NS` records an externally measured end-to-end
-//! `run_testbench_parsed` median (e.g. from a `git worktree` checkout of
-//! the pre-PR commit running the same workload on the same machine), and
-//! the report then includes `speedup_vs_pre_pr` per problem. The
-//! committed `BENCH_sim.json` documents the exact command used.
+//! Writes `BENCH_sim.json` (default, in the working directory).
+//! `--quick` is the CI smoke mode.
 
 use correctbench_autoeval::{derive_golden_artifacts, golden_artifacts};
 use correctbench_checker::CheckerProgram;
@@ -91,15 +71,13 @@ use correctbench_harness::{
 use correctbench_llm::SimulatedClientFactory;
 use correctbench_obs::ObsStack;
 use correctbench_tbgen::{
-    acquire_session, compile_pair, force_one_shot, generate_driver, generate_scenarios,
+    acquire_session, elaborate_pair, force_one_shot, generate_driver, generate_scenarios,
     judge_records, limits_for, lint_cached, module_interface_fingerprint, run_testbench_parsed,
     EvalContext, EvalSession, GoldenCache, LintCache, ScenarioSet,
 };
 use correctbench_verilog::ast::SourceFile;
 use correctbench_verilog::hash::{debug_hash, structural_hash, StructuralHash};
-use correctbench_verilog::{
-    elaborate, lint_file, parse, CompiledDesign, ExecMode, SimLimits, Simulator,
-};
+use correctbench_verilog::{lint_file, parse, Design, SimLimits, Simulator};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -140,149 +118,152 @@ fn case_for(name: &str) -> Case {
     }
 }
 
-/// The pre-PR pipeline's per-run front-end cost: combine + elaborate,
-/// no compile stage. The result is only a cost model (execution itself
-/// runs on the case's shared compiled design, which `compile_pair` —
-/// the runner's own helper — produced).
-fn elaborate_cost(dut: &SourceFile, driver: &SourceFile) {
-    let mut file = dut.clone();
-    file.modules.extend(driver.modules.iter().cloned());
-    std::hint::black_box(elaborate(&file, correctbench_tbgen::TB_MODULE).expect("elaborate"));
-}
-
-/// One full run: simulate `compiled` and judge the records — everything
-/// `run_testbench_parsed` does after elaboration.
-fn simulate_and_judge(case: &Case, compiled: &CompiledDesign, mode: ExecMode) {
-    let out = Simulator::from_compiled_with_limits(compiled, case.limits)
-        .with_mode(mode)
+/// One simulation of an elaborated design — what `run_testbench_parsed`
+/// does between elaboration and judging.
+fn simulate(case: &Case, design: &Design) {
+    let out = Simulator::with_limits(design, case.limits)
         .run()
         .expect("simulation ok");
-    let records = correctbench_tbgen::parse_records(&out.lines);
-    let verdicts = judge_records(&records, &case.checker, &case.problem, case.scenarios.len())
-        .expect("judge ok");
-    std::hint::black_box(verdicts);
+    std::hint::black_box(out);
 }
 
-/// Median wall times of `samples` *interleaved* runs of each arm, in
-/// nanoseconds. Interleaving matters on shared machines: measuring the
-/// arms back-to-back lets a load spike land entirely on one arm and
-/// skew the ratio; round-robin sampling spreads drift across all of
-/// them.
-fn medians_interleaved<const N: usize>(
+/// One arm's sample distribution, in nanoseconds.
+#[derive(Clone, Copy)]
+struct Spread {
+    p25: u64,
+    median: u64,
+    p75: u64,
+}
+
+/// Times `samples` interleaved runs of each named arm. Interleaving
+/// matters on shared machines: measuring the arms back-to-back lets a
+/// load spike land entirely on one arm. The order is rotated every
+/// sample, and its direction alternates, so no arm always runs first or
+/// always follows the same neighbour (a fixed order let an arm inherit
+/// the warm caches of an identical predecessor).
+fn spreads_interleaved(
     samples: usize,
-    arms: &mut [&mut dyn FnMut(); N],
-) -> [u64; N] {
-    for arm in arms.iter_mut() {
+    arms: &mut [(&'static str, &mut dyn FnMut())],
+) -> Vec<(&'static str, Spread)> {
+    for (_, arm) in arms.iter_mut() {
         arm(); // warm up
     }
-    let mut times = vec![Vec::with_capacity(samples); N];
-    for _ in 0..samples {
-        for (arm, t) in arms.iter_mut().zip(times.iter_mut()) {
+    let n = arms.len();
+    let mut times = vec![Vec::with_capacity(samples); n];
+    for s in 0..samples {
+        for k in 0..n {
+            let i = if s % 2 == 0 {
+                (s + k) % n
+            } else {
+                (s + n - k) % n
+            };
             let t0 = Instant::now();
-            arm();
-            t.push(t0.elapsed().as_nanos() as u64);
+            (arms[i].1)();
+            times[i].push(t0.elapsed().as_nanos() as u64);
         }
     }
-    std::array::from_fn(|i| {
-        times[i].sort_unstable();
-        times[i][samples / 2]
-    })
+    arms.iter()
+        .zip(times)
+        .map(|((name, _), mut t)| {
+            t.sort_unstable();
+            let spread = Spread {
+                p25: t[samples / 4],
+                median: t[samples / 2],
+                p75: t[samples * 3 / 4],
+            };
+            (*name, spread)
+        })
+        .collect()
 }
+
+/// Layer speedups: (per-problem field, summary field, slow arm, fast arm).
+const SPEEDUPS: &[(&str, &str, &str, &str)] = &[
+    (
+        "speedup_elab_cached",
+        "median_speedup_elab_cached_vs_uncached",
+        "elab_simulate",
+        "cached_simulate",
+    ),
+    (
+        "speedup_session_vs_one_shot",
+        "median_speedup_session_vs_one_shot",
+        "one_shot_sweep",
+        "session_sweep",
+    ),
+    (
+        "speedup_judge_compiled_vs_interp",
+        "median_speedup_judge_compiled_vs_interp",
+        "judge_interp",
+        "judge_session",
+    ),
+    (
+        "speedup_key_fingerprint",
+        "median_speedup_key_fingerprint_vs_debug_hash",
+        "key_debug_hash",
+        "key_fingerprint",
+    ),
+    (
+        "speedup_session_pooled",
+        "median_speedup_session_pooled_vs_fresh",
+        "session_fresh",
+        "session_pooled",
+    ),
+    (
+        "speedup_golden_cached",
+        "median_speedup_golden_cached_vs_derived",
+        "golden_derive",
+        "golden_cached",
+    ),
+    (
+        "speedup_lint_cached",
+        "median_speedup_lint_cached_vs_cold",
+        "lint_cold",
+        "lint_cached",
+    ),
+    (
+        "speedup_store_warm_vs_cold",
+        "median_speedup_store_warm_vs_cold",
+        "store_cold_job",
+        "store_warm_hit",
+    ),
+];
 
 struct Row {
     name: String,
     kind: &'static str,
-    tree_walk_ns: u64,
-    bytecode_ns: u64,
-    bytecode_cached_ns: u64,
-    hot_path_obs_ns: u64,
-    one_shot_sweep_ns: u64,
-    session_sweep_ns: u64,
-    judge_interp_ns: u64,
-    judge_session_ns: u64,
-    key_debug_hash_ns: u64,
-    key_fingerprint_ns: u64,
-    session_fresh_ns: u64,
-    session_pooled_ns: u64,
-    golden_derive_ns: u64,
-    golden_cached_ns: u64,
-    lint_cold_ns: u64,
-    lint_cached_ns: u64,
-    lint_warn_ns: u64,
-    store_cold_job_ns: u64,
-    store_warm_hit_ns: u64,
-    pre_pr_ns: Option<u64>,
+    arms: Vec<(&'static str, Spread)>,
 }
 
 impl Row {
-    /// Conservative speedup: new hot path vs. the *current* tree-walker
-    /// (itself already sped up by the inline `LogicVec` and the clone
-    /// removal).
-    fn speedup_vs_tree_walk(&self) -> f64 {
-        self.tree_walk_ns as f64 / self.bytecode_cached_ns.max(1) as f64
+    fn median(&self, arm: &str) -> u64 {
+        self.arms
+            .iter()
+            .find(|(n, _)| *n == arm)
+            .map(|(_, s)| s.median)
+            .expect("known arm")
     }
 
-    /// Session batch vs. legacy one-shot on the repeated-pair sweep.
-    fn speedup_session(&self) -> f64 {
-        self.one_shot_sweep_ns as f64 / self.session_sweep_ns.max(1) as f64
+    /// Median of `slow` over median of `fast`.
+    fn speedup(&self, slow: &str, fast: &str) -> f64 {
+        self.median(slow) as f64 / self.median(fast).max(1) as f64
     }
 
-    /// Compiled checker vs. interpreted judging of one record stream.
-    fn speedup_judge(&self) -> f64 {
-        self.judge_interp_ns as f64 / self.judge_session_ns.max(1) as f64
-    }
-
-    /// Visitor-fingerprint key construction vs. the rendering hashes.
-    fn speedup_fingerprint(&self) -> f64 {
-        self.key_debug_hash_ns as f64 / self.key_fingerprint_ns.max(1) as f64
-    }
-
-    /// Pooled session lease vs. constructing the session per acquisition.
-    fn speedup_pool(&self) -> f64 {
-        self.session_fresh_ns as f64 / self.session_pooled_ns.max(1) as f64
-    }
-
-    /// Cached golden-bundle fetch vs. deriving the bundle from scratch.
-    fn speedup_golden(&self) -> f64 {
-        self.golden_derive_ns as f64 / self.golden_cached_ns.max(1) as f64
-    }
-
-    /// Memoized lint-report fetch vs. running the analysis cold.
-    fn speedup_lint(&self) -> f64 {
-        self.lint_cold_ns as f64 / self.lint_cached_ns.max(1) as f64
-    }
-
-    /// Persistent-store cell replay vs. executing the job from scratch.
-    fn speedup_store(&self) -> f64 {
-        self.store_cold_job_ns as f64 / self.store_warm_hit_ns.max(1) as f64
-    }
-
-    /// Cost of a live observability collector on the steady-state hot
+    /// Cost of a live observability collector on the simulation hot
     /// path, in percent over the unobserved run.
     fn obs_overhead_pct(&self) -> f64 {
-        (self.hot_path_obs_ns as f64 / self.bytecode_cached_ns.max(1) as f64 - 1.0) * 100.0
-    }
-
-    /// Speedup vs. the externally measured pre-PR baseline, when given.
-    fn speedup_vs_pre_pr(&self) -> Option<f64> {
-        self.pre_pr_ns
-            .map(|b| b as f64 / self.bytecode_cached_ns.max(1) as f64)
+        (self.median("hot_path_obs") as f64 / self.median("cached_simulate").max(1) as f64 - 1.0)
+            * 100.0
     }
 }
 
-fn median_f64(mut xs: Vec<f64>) -> Option<f64> {
-    if xs.is_empty() {
-        return None;
-    }
+fn median_f64(mut xs: Vec<f64>) -> f64 {
     xs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    Some(xs[xs.len() / 2])
+    xs[xs.len() / 2]
 }
 
 fn main() {
     let mut samples = 40usize;
     let mut out_path = "BENCH_sim.json".to_string();
-    let mut baselines: Vec<(String, u64)> = Vec::new();
-    let mut baseline_commit = String::new();
     let mut lint_warn_overhead: Option<f64> = None;
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -296,21 +277,6 @@ fn main() {
                     .unwrap_or_else(|| usage("--samples needs a positive number"))
             }
             "--out" => out_path = it.next().unwrap_or_else(|| usage("--out needs a path")),
-            "--baseline" => {
-                let spec = it
-                    .next()
-                    .unwrap_or_else(|| usage("--baseline needs NAME=NS"));
-                let (name, ns) = spec
-                    .split_once('=')
-                    .and_then(|(n, v)| v.parse().ok().map(|ns| (n.to_string(), ns)))
-                    .unwrap_or_else(|| usage("--baseline needs NAME=NS"));
-                baselines.push((name, ns));
-            }
-            "--baseline-commit" => {
-                baseline_commit = it
-                    .next()
-                    .unwrap_or_else(|| usage("--baseline-commit needs a hash"))
-            }
             "--lint-warn-overhead" => {
                 lint_warn_overhead = Some(
                     it.next()
@@ -325,10 +291,10 @@ fn main() {
     let mut rows = Vec::new();
     for name in PROBLEMS {
         let case = case_for(name);
-        let compiled = compile_pair(&case.dut, &case.driver).expect("elaborate");
+        let design = elaborate_pair(&case.dut, &case.driver).expect("elaborate");
         // One pre-captured record stream for the judge-only arms.
         let records = {
-            let out = Simulator::from_compiled_with_limits(&compiled, case.limits)
+            let out = Simulator::with_limits(&design, case.limits)
                 .run()
                 .expect("simulation ok");
             correctbench_tbgen::parse_records(&out.lines)
@@ -374,159 +340,142 @@ fn main() {
         store
             .put(&store_key, &encode_cell(&primed))
             .expect("publish primed cell");
-        let [tree_walk_ns, bytecode_ns, bytecode_cached_ns, hot_path_obs_ns, one_shot_sweep_ns, session_sweep_ns, judge_interp_ns, judge_session_ns, key_debug_hash_ns, key_fingerprint_ns, session_fresh_ns, session_pooled_ns, golden_derive_ns, golden_cached_ns, lint_cold_ns, lint_cached_ns, lint_warn_ns, store_cold_job_ns, store_warm_hit_ns] =
-            medians_interleaved(
-                samples,
-                &mut [
-                    &mut || {
-                        elaborate_cost(&case.dut, &case.driver);
-                        simulate_and_judge(&case, &compiled, ExecMode::TreeWalk);
-                    },
-                    &mut || {
-                        let fresh = compile_pair(&case.dut, &case.driver).expect("elaborate");
-                        simulate_and_judge(&case, &fresh, ExecMode::Bytecode);
-                    },
-                    &mut || {
-                        simulate_and_judge(&case, &compiled, ExecMode::Bytecode);
-                    },
-                    &mut || {
-                        // The identical hot path with a collector armed:
-                        // every span and counter flush does real work.
-                        let _obs = ObsStack::enabled().install();
-                        simulate_and_judge(&case, &compiled, ExecMode::Bytecode);
-                    },
-                    &mut || {
-                        // The legacy one-shot path, as a sweep caller pays it
-                        // without a session: per-run front end, fresh
-                        // simulator, interpreted judge. (No sim/elab cache
-                        // is installed in this process, and the one-shot
-                        // guard bypasses the session pool.)
-                        let _guard = force_one_shot();
-                        for _ in 0..SWEEP {
-                            std::hint::black_box(
-                                run_testbench_parsed(
-                                    &case.dut,
-                                    &case.driver,
-                                    &case.checker,
-                                    &case.problem,
-                                    &case.scenarios,
-                                )
-                                .expect("run ok"),
-                            );
-                        }
-                    },
-                    &mut || {
-                        for _ in 0..SWEEP {
-                            std::hint::black_box(
-                                sweep_session
-                                    .run(&case.dut, &case.driver, &case.scenarios)
-                                    .expect("run ok"),
-                            );
-                        }
-                    },
-                    &mut || {
+        let arms = spreads_interleaved(
+            samples,
+            &mut [
+                ("elab_simulate", &mut || {
+                    let fresh = elaborate_pair(&case.dut, &case.driver).expect("elaborate");
+                    simulate(&case, &fresh);
+                }),
+                ("cached_simulate", &mut || simulate(&case, &design)),
+                ("hot_path_obs", &mut || {
+                    // The identical simulation with a collector armed:
+                    // every span and counter flush does real work.
+                    let _obs = ObsStack::enabled().install();
+                    simulate(&case, &design);
+                }),
+                ("one_shot_sweep", &mut || {
+                    // The legacy one-shot path, as a sweep caller pays it
+                    // without a session: per-run front end, fresh
+                    // simulator, interpreted judge. (No sim/elab cache
+                    // is installed in this process, and the one-shot
+                    // guard bypasses the session pool.)
+                    let _guard = force_one_shot();
+                    for _ in 0..SWEEP {
                         std::hint::black_box(
-                            judge_records(
-                                &records,
+                            run_testbench_parsed(
+                                &case.dut,
+                                &case.driver,
                                 &case.checker,
                                 &case.problem,
-                                case.scenarios.len(),
+                                &case.scenarios,
                             )
+                            .expect("run ok"),
+                        );
+                    }
+                }),
+                ("session_sweep", &mut || {
+                    for _ in 0..SWEEP {
+                        std::hint::black_box(
+                            sweep_session
+                                .run(&case.dut, &case.driver, &case.scenarios)
+                                .expect("run ok"),
+                        );
+                    }
+                }),
+                ("judge_interp", &mut || {
+                    std::hint::black_box(
+                        judge_records(&records, &case.checker, &case.problem, case.scenarios.len())
                             .expect("judge ok"),
-                        );
-                    },
-                    &mut || {
-                        std::hint::black_box(
-                            judge_session
-                                .judge(&records, case.scenarios.len())
-                                .expect("judge ok"),
-                        );
-                    },
-                    &mut || {
-                        // One full cache key the retired way: render the
-                        // artifacts and FNV the streams.
-                        std::hint::black_box((
-                            structural_hash(&case.dut),
-                            structural_hash(&case.driver),
-                            debug_hash(&case.checker),
-                            debug_hash(&case.scenarios),
-                            debug_hash(&(case.problem.name.as_str(), &case.problem.ports)),
-                        ));
-                    },
-                    &mut || {
-                        // The same key via visitor fingerprints, computed
-                        // fresh (trait call bypasses the SourceFile cache).
-                        std::hint::black_box((
-                            StructuralHash::fingerprint(&case.dut),
-                            StructuralHash::fingerprint(&case.driver),
-                            case.checker.fingerprint(),
-                            case.scenarios.fingerprint(),
-                            module_interface_fingerprint(&case.problem.name, &case.problem.ports),
-                        ));
-                    },
-                    &mut || {
-                        // The per-call session construction the validator
-                        // and AutoEval paid before the pool existed.
-                        std::hint::black_box(
-                            EvalSession::new(&case.problem, &case.checker)
-                                .expect("checker compiles"),
-                        );
-                    },
-                    &mut || {
-                        // Lease from the installed pool (steady state: a
-                        // hit after the first acquisition).
-                        std::hint::black_box(
-                            acquire_session(&case.problem, &case.checker).expect("lease"),
-                        );
-                    },
-                    &mut || {
-                        // The per-cell golden cost AutoEval paid before
-                        // the cache: full bundle derivation.
-                        std::hint::black_box(derive_golden_artifacts(&case.problem, GOLDEN_SEED));
-                    },
-                    &mut || {
-                        // Fetch the primed bundle from the installed
-                        // golden cache (steady state: every cell after
-                        // the first).
-                        std::hint::black_box(golden_artifacts(&case.problem, GOLDEN_SEED));
-                    },
-                    &mut || {
-                        // The static-analysis pass from scratch: the
-                        // lint-cache miss cost.
-                        std::hint::black_box(lint_file(&combined_lint));
-                    },
-                    &mut || {
-                        // Fetch the primed report from the installed
-                        // lint cache (steady state: every cell of a
-                        // problem after the first).
-                        std::hint::black_box(lint_cached(&combined_lint));
-                    },
-                    &mut || {
-                        // Exactly what `--lint=warn` adds per job:
-                        // combine, parse, fetch the memoized report.
-                        let combined = format!("{}\n{}", case.problem.golden_rtl, driver_text);
-                        let parsed = parse(&combined).expect("combined parses");
-                        std::hint::black_box(lint_cached(&parsed));
-                    },
-                    &mut || {
-                        // The cold side: the full job a warm restart
-                        // gets to skip.
-                        std::hint::black_box(run_job(
-                            store_job,
-                            &store_plan.config,
-                            &store_factory,
-                        ));
-                    },
-                    &mut || {
-                        // The warm side: probe the open store and decode
-                        // the cell back into a TaskOutcome.
-                        let payload = store.get(&store_key).expect("primed cell");
-                        std::hint::black_box(
-                            decode_cell(&payload, store_job, false).expect("cell decodes"),
-                        );
-                    },
-                ],
-            );
+                    );
+                }),
+                ("judge_session", &mut || {
+                    std::hint::black_box(
+                        judge_session
+                            .judge(&records, case.scenarios.len())
+                            .expect("judge ok"),
+                    );
+                }),
+                ("key_debug_hash", &mut || {
+                    // One full cache key the retired way: render the
+                    // artifacts and FNV the streams.
+                    std::hint::black_box((
+                        structural_hash(&case.dut),
+                        structural_hash(&case.driver),
+                        debug_hash(&case.checker),
+                        debug_hash(&case.scenarios),
+                        debug_hash(&(case.problem.name.as_str(), &case.problem.ports)),
+                    ));
+                }),
+                ("key_fingerprint", &mut || {
+                    // The same key via visitor fingerprints, computed
+                    // fresh (trait call bypasses the SourceFile cache).
+                    std::hint::black_box((
+                        StructuralHash::fingerprint(&case.dut),
+                        StructuralHash::fingerprint(&case.driver),
+                        case.checker.fingerprint(),
+                        case.scenarios.fingerprint(),
+                        module_interface_fingerprint(&case.problem.name, &case.problem.ports),
+                    ));
+                }),
+                ("session_fresh", &mut || {
+                    // The per-call session construction the validator
+                    // and AutoEval paid before the pool existed.
+                    std::hint::black_box(
+                        EvalSession::new(&case.problem, &case.checker).expect("checker compiles"),
+                    );
+                }),
+                ("session_pooled", &mut || {
+                    // Lease from the installed pool (steady state: a
+                    // hit after the first acquisition).
+                    std::hint::black_box(
+                        acquire_session(&case.problem, &case.checker).expect("lease"),
+                    );
+                }),
+                ("golden_derive", &mut || {
+                    // The per-cell golden cost AutoEval paid before
+                    // the cache: full bundle derivation.
+                    std::hint::black_box(derive_golden_artifacts(&case.problem, GOLDEN_SEED));
+                }),
+                ("golden_cached", &mut || {
+                    // Fetch the primed bundle from the installed
+                    // golden cache (steady state: every cell after
+                    // the first).
+                    std::hint::black_box(golden_artifacts(&case.problem, GOLDEN_SEED));
+                }),
+                ("lint_cold", &mut || {
+                    // The static-analysis pass from scratch: the
+                    // lint-cache miss cost.
+                    std::hint::black_box(lint_file(&combined_lint));
+                }),
+                ("lint_cached", &mut || {
+                    // Fetch the primed report from the installed
+                    // lint cache (steady state: every cell of a
+                    // problem after the first).
+                    std::hint::black_box(lint_cached(&combined_lint));
+                }),
+                ("lint_warn", &mut || {
+                    // Exactly what `--lint=warn` adds per job:
+                    // combine, parse, fetch the memoized report.
+                    let combined = format!("{}\n{}", case.problem.golden_rtl, driver_text);
+                    let parsed = parse(&combined).expect("combined parses");
+                    std::hint::black_box(lint_cached(&parsed));
+                }),
+                ("store_cold_job", &mut || {
+                    // The cold side: the full job a warm restart
+                    // gets to skip.
+                    std::hint::black_box(run_job(store_job, &store_plan.config, &store_factory));
+                }),
+                ("store_warm_hit", &mut || {
+                    // The warm side: probe the open store and decode
+                    // the cell back into a TaskOutcome.
+                    let payload = store.get(&store_key).expect("primed cell");
+                    std::hint::black_box(
+                        decode_cell(&payload, store_job, false).expect("cell decodes"),
+                    );
+                }),
+            ],
+        );
         let _ = std::fs::remove_dir_all(&store_dir);
         let row = Row {
             name: case.problem.name.clone(),
@@ -535,131 +484,59 @@ fn main() {
             } else {
                 "seq"
             },
-            tree_walk_ns,
-            bytecode_ns,
-            bytecode_cached_ns,
-            hot_path_obs_ns,
-            one_shot_sweep_ns,
-            session_sweep_ns,
-            judge_interp_ns,
-            judge_session_ns,
-            key_debug_hash_ns,
-            key_fingerprint_ns,
-            session_fresh_ns,
-            session_pooled_ns,
-            golden_derive_ns,
-            golden_cached_ns,
-            lint_cold_ns,
-            lint_cached_ns,
-            lint_warn_ns,
-            store_cold_job_ns,
-            store_warm_hit_ns,
-            pre_pr_ns: baselines
-                .iter()
-                .find(|(n, _)| n == &case.problem.name)
-                .map(|(_, ns)| *ns),
+            arms,
         };
-        let vs_pre_pr = row
-            .speedup_vs_pre_pr()
-            .map(|s| format!(" | vs pre-PR {s:.2}x"))
-            .unwrap_or_default();
+        let mut line = format!("{:<12}", row.name);
+        for (field, _, slow, fast) in SPEEDUPS {
+            let _ = write!(line, " | {field} {:.2}x", row.speedup(slow, fast));
+        }
         eprintln!(
-            "{:<12} tree-walk {:>9} ns | bytecode {:>9} ns | +elab-cache {:>9} ns | vs tree {:.2}x | session sweep {:.2}x | judge {:.2}x | key fp {:.2}x | pool {:.2}x | golden {:.2}x | lint {:.2}x | lint warn {:>7} ns | store warm {:.0}x | obs {:+.2}%{vs_pre_pr}",
-            row.name, row.tree_walk_ns, row.bytecode_ns, row.bytecode_cached_ns,
-            row.speedup_vs_tree_walk(), row.speedup_session(), row.speedup_judge(),
-            row.speedup_fingerprint(), row.speedup_pool(), row.speedup_golden(),
-            row.speedup_lint(), row.lint_warn_ns, row.speedup_store(), row.obs_overhead_pct(),
+            "{line} | lint_warn {} ns | obs {:+.2}%",
+            row.median("lint_warn"),
+            row.obs_overhead_pct()
         );
         rows.push(row);
     }
 
-    let median_vs_tree =
-        median_f64(rows.iter().map(Row::speedup_vs_tree_walk).collect()).expect("rows");
-    let median_session = median_f64(rows.iter().map(Row::speedup_session).collect()).expect("rows");
-    let median_judge = median_f64(rows.iter().map(Row::speedup_judge).collect()).expect("rows");
-    let median_fingerprint =
-        median_f64(rows.iter().map(Row::speedup_fingerprint).collect()).expect("rows");
-    let median_pool = median_f64(rows.iter().map(Row::speedup_pool).collect()).expect("rows");
-    let median_golden = median_f64(rows.iter().map(Row::speedup_golden).collect()).expect("rows");
-    let median_lint = median_f64(rows.iter().map(Row::speedup_lint).collect()).expect("rows");
-    let median_store = median_f64(rows.iter().map(Row::speedup_store).collect()).expect("rows");
-    let median_obs = median_f64(rows.iter().map(Row::obs_overhead_pct).collect()).expect("rows");
-    let median_vs_pre_pr = median_f64(rows.iter().filter_map(Row::speedup_vs_pre_pr).collect());
+    let median_obs = median_f64(rows.iter().map(Row::obs_overhead_pct).collect());
 
     let mut json = String::new();
     let _ = writeln!(json, "{{");
     let _ = writeln!(json, "  \"bench\": \"sim_exec\",");
     let _ = writeln!(json, "  \"samples\": {samples},");
-    let _ = writeln!(
-        json,
-        "  \"median_speedup_vs_tree_walk\": {median_vs_tree:.2},"
-    );
     let _ = writeln!(json, "  \"sweep_runs_per_sample\": {SWEEP},");
-    let _ = writeln!(
-        json,
-        "  \"median_speedup_session_vs_one_shot\": {median_session:.2},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"median_speedup_judge_compiled_vs_interp\": {median_judge:.2},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"median_speedup_key_fingerprint_vs_debug_hash\": {median_fingerprint:.2},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"median_speedup_session_pooled_vs_fresh\": {median_pool:.2},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"median_speedup_golden_cached_vs_derived\": {median_golden:.2},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"median_speedup_lint_cached_vs_cold\": {median_lint:.2},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"median_speedup_store_warm_vs_cold\": {median_store:.2},"
-    );
+    let mut summary = Vec::new();
+    for (field, median_field, slow, fast) in SPEEDUPS {
+        let m = median_f64(rows.iter().map(|r| r.speedup(slow, fast)).collect());
+        let _ = writeln!(json, "  \"{median_field}\": {m:.2},");
+        summary.push(format!("{field} {m:.2}x"));
+    }
     if let Some(pct) = lint_warn_overhead {
         let _ = writeln!(json, "  \"lint_warn_overhead_pct\": {pct:.2},");
         let _ = writeln!(
             json,
             "  \"lint_warn_overhead_method\": \"lint-phase share of total phase-attributed time in metrics.json over a correctbench-run sweep (--problems 24 --reps 2 --lint warn), same machine and binary\","
         );
+        summary.push(format!("lint warn overhead {pct:+.2}%"));
     }
     let _ = writeln!(json, "  \"median_obs_overhead_pct\": {median_obs:.2},");
-    if let Some(m) = median_vs_pre_pr {
-        let _ = writeln!(json, "  \"median_speedup_vs_pre_pr\": {m:.2},");
-        let _ = writeln!(
-            json,
-            "  \"pre_pr_baseline\": {{\"commit\": \"{}\", \"method\": \"end-to-end run_testbench_parsed equivalent (elaborate + simulate + parse records + judge) measured at the pre-PR commit via git worktree, same machine and flags\"}},",
-            if baseline_commit.is_empty() { "unspecified" } else { &baseline_commit },
-        );
-    }
+    summary.push(format!("obs overhead {median_obs:+.2}%"));
     let _ = writeln!(json, "  \"problems\": [");
     for (i, r) in rows.iter().enumerate() {
         let comma = if i + 1 < rows.len() { "," } else { "" };
-        let pre = match (r.pre_pr_ns, r.speedup_vs_pre_pr()) {
-            (Some(ns), Some(s)) => format!(",\"pre_pr_ns\":{ns},\"speedup_vs_pre_pr\":{s:.2}"),
-            _ => String::new(),
-        };
-        let _ = writeln!(
-            json,
-            "    {{\"name\":\"{}\",\"kind\":\"{}\",\"tree_walk_ns\":{},\"bytecode_ns\":{},\"bytecode_cached_ns\":{},\"speedup_vs_tree_walk\":{:.2},\"one_shot_sweep_ns\":{},\"session_sweep_ns\":{},\"speedup_session_vs_one_shot\":{:.2},\"judge_interp_ns\":{},\"judge_session_ns\":{},\"speedup_judge_compiled_vs_interp\":{:.2},\"key_debug_hash_ns\":{},\"key_fingerprint_ns\":{},\"speedup_key_fingerprint\":{:.2},\"session_fresh_ns\":{},\"session_pooled_ns\":{},\"speedup_session_pooled\":{:.2},\"golden_derive_ns\":{},\"golden_cached_ns\":{},\"speedup_golden_cached\":{:.2},\"lint_cold_ns\":{},\"lint_cached_ns\":{},\"speedup_lint_cached\":{:.2},\"lint_warn_ns\":{},\"store_cold_job_ns\":{},\"store_warm_hit_ns\":{},\"speedup_store_warm_vs_cold\":{:.2},\"hot_path_obs_ns\":{},\"obs_overhead_pct\":{:.2}{pre}}}{comma}",
-            r.name, r.kind, r.tree_walk_ns, r.bytecode_ns, r.bytecode_cached_ns,
-            r.speedup_vs_tree_walk(), r.one_shot_sweep_ns, r.session_sweep_ns,
-            r.speedup_session(), r.judge_interp_ns, r.judge_session_ns, r.speedup_judge(),
-            r.key_debug_hash_ns, r.key_fingerprint_ns, r.speedup_fingerprint(),
-            r.session_fresh_ns, r.session_pooled_ns, r.speedup_pool(),
-            r.golden_derive_ns, r.golden_cached_ns, r.speedup_golden(),
-            r.lint_cold_ns, r.lint_cached_ns, r.speedup_lint(),
-            r.lint_warn_ns,
-            r.store_cold_job_ns, r.store_warm_hit_ns, r.speedup_store(),
-            r.hot_path_obs_ns, r.obs_overhead_pct(),
-        );
+        let mut fields = format!("\"name\":\"{}\",\"kind\":\"{}\"", r.name, r.kind);
+        for (arm, s) in &r.arms {
+            let _ = write!(
+                fields,
+                ",\"{arm}_ns\":{},\"{arm}_p25_ns\":{},\"{arm}_p75_ns\":{}",
+                s.median, s.p25, s.p75
+            );
+        }
+        for (field, _, slow, fast) in SPEEDUPS {
+            let _ = write!(fields, ",\"{field}\":{:.2}", r.speedup(slow, fast));
+        }
+        let _ = write!(fields, ",\"obs_overhead_pct\":{:.2}", r.obs_overhead_pct());
+        let _ = writeln!(json, "    {{{fields}}}{comma}");
     }
     let _ = writeln!(json, "  ]");
     let _ = writeln!(json, "}}");
@@ -668,23 +545,11 @@ fn main() {
         eprintln!("error: failed to write {out_path}: {e}");
         std::process::exit(1);
     }
-    let tail = match median_vs_pre_pr {
-        Some(m) => format!(", {m:.2}x vs pre-PR"),
-        None => String::new(),
-    };
-    let lint_tail = match lint_warn_overhead {
-        Some(pct) => format!(", lint warn overhead {pct:+.2}%"),
-        None => String::new(),
-    };
-    eprintln!(
-        "median speedups: {median_vs_tree:.2}x vs tree-walk, session sweep {median_session:.2}x, compiled judge {median_judge:.2}x, fingerprint keys {median_fingerprint:.2}x, pooled sessions {median_pool:.2}x, cached golden {median_golden:.2}x, cached lint {median_lint:.2}x, warm store {median_store:.2}x, obs overhead {median_obs:+.2}%{lint_tail}{tail} -> {out_path}"
-    );
+    eprintln!("medians: {} -> {out_path}", summary.join(", "));
 }
 
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
-    eprintln!(
-        "usage: bench_sim [--quick] [--samples N] [--out FILE] [--baseline NAME=NS]... [--baseline-commit HASH] [--lint-warn-overhead PCT]"
-    );
+    eprintln!("usage: bench_sim [--quick] [--samples N] [--out FILE] [--lint-warn-overhead PCT]");
     std::process::exit(2)
 }

@@ -265,10 +265,11 @@ pub fn diagnostic_json(o: &TaskOutcome, d: &correctbench_verilog::Diagnostic) ->
     )
 }
 
-/// Parses one `diagnostics.jsonl` line back into its [`Diagnostic`] —
-/// the exact inverse of [`diagnostic_json`] over the diagnostic's own
-/// fields (the `job`/`problem`/`method`/`rep` join keys belong to the
-/// outcome the line rides with). The persistent outcome store replays
+/// Parses one `diagnostics.jsonl` line back into its
+/// [`Diagnostic`](correctbench_verilog::Diagnostic) — the exact inverse
+/// of [`diagnostic_json`] over the diagnostic's own fields (the
+/// `job`/`problem`/`method`/`rep` join keys belong to the outcome the
+/// line rides with). The persistent outcome store replays
 /// stored sidecar fragments through this.
 ///
 /// # Errors
@@ -803,7 +804,8 @@ pub fn manifest_fingerprint(src: &str) -> Option<String> {
         .map(str::to_string)
 }
 
-/// Parses a `plan.json` manifest back into the [`RunPlan`] it recorded.
+/// Parses a `plan.json` manifest back into the
+/// [`RunPlan`](crate::RunPlan) it recorded.
 ///
 /// # Errors
 ///

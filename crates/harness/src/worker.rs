@@ -312,7 +312,7 @@ fn aborted_outcome(job: &Job, kind: AbortKind, wall: Duration) -> TaskOutcome {
 /// Runs one job inside a fault barrier with its budgets installed.
 ///
 /// * Any unwind is caught and classified: a typed
-///   [`JobAbort`](correctbench_tbgen::JobAbort) payload carries its own
+///   [`JobAbort`] payload carries its own
 ///   [`AbortKind`]; anything else is `panic`. Either way the job
 ///   becomes a deterministic `status: aborted` outcome instead of
 ///   taking down the worker.

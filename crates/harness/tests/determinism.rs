@@ -68,8 +68,8 @@ fn cache_is_semantically_transparent() {
 #[test]
 fn elab_cache_is_semantically_transparent() {
     // Isolate the elaboration layer: simulation cache on in both runs,
-    // elaboration cache toggled. A cached `CompiledDesign` must simulate
-    // byte-identically to a freshly recompiled one.
+    // elaboration cache toggled. A cached `Design` must simulate
+    // byte-identically to a freshly elaborated one.
     let with_elab = artifact_with(Engine::new(4));
     let without_elab = artifact_with(Engine::new(4).without_elab_cache());
     assert!(

@@ -2,7 +2,7 @@
 //! and deterministic log-bucketed latency histograms.
 //!
 //! The engine's measurement substrate. A worker installs a thread-local
-//! [`Collector`] per job via [`ObsStack::install`] (the same
+//! collector per job via [`ObsStack::install`] (the same
 //! single-owner guard pattern as `tbgen::install`); instrumented code
 //! anywhere below records into it through two free functions:
 //!
@@ -10,7 +10,7 @@
 //!   Attribution is **exclusive** (self-time): entering a nested span
 //!   pauses the parent, so a job's per-phase nanoseconds sum to the
 //!   wall time actually covered by spans — never double-counted.
-//! * [`add`] bumps a [`Counter`] (simulation events, retired bytecode
+//! * [`add`] bumps a [`Counter`] (simulation events, executed process
 //!   instructions, NBA commits, judge slot commits, per-layer cache
 //!   hits and misses) for the job that incurred it.
 //!
@@ -37,7 +37,11 @@ pub enum Phase {
     Parse,
     /// AST → elaborated design (`verilog::elaborate`).
     Elab,
-    /// Elaborated design → bytecode (`CompiledDesign::new`).
+    /// Retired: no span emits it since the bytecode compiler was
+    /// removed (the simulator runs the elaborated design directly), so
+    /// it always reads 0. Kept because the frozen end-to-end benchmark
+    /// still reads it (`verilog.compile_s`) and the artifact schemas
+    /// carry its field.
     Compile,
     /// Event-driven simulation (`Simulator::run`).
     Simulate,
@@ -92,7 +96,8 @@ impl Phase {
 pub enum Counter {
     /// Simulator activations processed (process + assign wake-ups).
     SimEvents,
-    /// Bytecode instructions retired by the simulator.
+    /// Process instructions executed, the unit `SimLimits::max_steps`
+    /// budgets.
     SimInstrs,
     /// Non-blocking assignment commits applied.
     NbaCommits,

@@ -1,20 +1,20 @@
-//! The elaboration/compilation cache.
+//! The elaboration cache.
 //!
 //! [`crate::run_testbench_parsed`] and [`crate::simulate_records_parsed`]
-//! combine a DUT with a driver, elaborate the pair and compile it to
-//! simulator bytecode. The same pair recurs constantly with *different*
+//! combine a DUT with a driver and elaborate the pair into the flat
+//! [`Design`] the simulator executes. The same pair recurs constantly with *different*
 //! downstream work: the RS matrix simulates one driver against 20 RTLs
 //! but each RTL against many scenario replays, Eval2 runs the same
 //! testbench against ten mutants, and repetition sweeps re-run identical
 //! pairs under fresh seeds (which miss the simulation cache only when the
 //! scenario set changed). PR 1's simulation cache absorbs *repeated
-//! runs*; this cache absorbs the parse-combine-elaborate-compile cost of
-//! *repeated designs* whose runs still have to happen.
+//! runs*; this cache absorbs the combine-elaborate cost of *repeated
+//! designs* whose runs still have to happen.
 //!
-//! An [`ElabCache`] memoizes the [`CompiledDesign`] under the structural
-//! hashes of the (DUT, driver) source pair, returning a shared
+//! An [`ElabCache`] memoizes the elaborated [`Design`] under the
+//! structural hashes of the (DUT, driver) source pair, returning a shared
 //! [`Arc`]: elaboration is a pure function of the two sources, so a hit
-//! is semantically identical to recompiling — simulation results, and
+//! is semantically identical to re-elaborating — simulation results, and
 //! therefore every harness artifact, stay byte-identical (the harness
 //! determinism tests pin this). Mirroring [`crate::SimCache`], the cache
 //! is *installed* per worker thread ([`ElabCache::install`]) so the
@@ -24,7 +24,7 @@
 
 use correctbench_verilog::ast::SourceFile;
 use correctbench_verilog::hash::Fingerprint;
-use correctbench_verilog::CompiledDesign;
+use correctbench_verilog::Design;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -37,7 +37,7 @@ pub use crate::cache::CacheStats;
 const SHARDS: usize = 16;
 
 /// Maximum entries one shard holds before cold entries are evicted. A
-/// compiled design is heavier than a record stream, so the bound sits
+/// elaborated design is heavier than a record stream, so the bound sits
 /// well below the simulation cache's; the recurring pairs (golden
 /// testbenches, Eval2 mutants, validator RTL groups) accumulate hits and
 /// survive eviction.
@@ -68,11 +68,11 @@ impl ElabKey {
 }
 
 struct Entry {
-    value: Arc<CompiledDesign>,
+    value: Arc<Design>,
     hits: u32,
 }
 
-/// A sharded, thread-safe, bounded memo table for compiled designs.
+/// A sharded, thread-safe, bounded memo table for elaborated designs.
 pub struct ElabCache {
     shards: Vec<Mutex<HashMap<ElabKey, Entry>>>,
     hits: AtomicU64,
@@ -89,8 +89,8 @@ impl ElabCache {
         })
     }
 
-    /// Looks up a compiled design, counting a hit or a miss.
-    pub fn get(&self, key: &ElabKey) -> Option<Arc<CompiledDesign>> {
+    /// Looks up an elaborated design, counting a hit or a miss.
+    pub fn get(&self, key: &ElabKey) -> Option<Arc<Design>> {
         let found = self.shards[key.shard()]
             .lock()
             .expect("elab cache shard poisoned")
@@ -112,10 +112,10 @@ impl ElabCache {
         found
     }
 
-    /// Stores a compiled design. A full shard first evicts a never-hit
+    /// Stores an elaborated design. A full shard first evicts a never-hit
     /// entry (or, when every entry has hits, an arbitrary one), so memory
     /// stays bounded at `SHARDS * MAX_ENTRIES_PER_SHARD` entries.
-    pub fn put(&self, key: ElabKey, value: Arc<CompiledDesign>) {
+    pub fn put(&self, key: ElabKey, value: Arc<Design>) {
         let mut shard = self.shards[key.shard()]
             .lock()
             .expect("elab cache shard poisoned");
@@ -171,14 +171,13 @@ pub type ElabCacheGuard = install::StackGuard;
 mod tests {
     use super::*;
 
-    fn compiled(n: u64) -> Arc<CompiledDesign> {
+    fn design(n: u64) -> Arc<Design> {
         let src = format!(
             "module tb;\nreg [7:0] v;\ninitial begin v = 8'd{};\n$finish;\nend\nendmodule",
             n % 200
         );
         let file = correctbench_verilog::parse(&src).expect("parse");
-        let design = correctbench_verilog::elaborate(&file, "tb").expect("elab");
-        Arc::new(CompiledDesign::new(design))
+        Arc::new(correctbench_verilog::elaborate(&file, "tb").expect("elab"))
     }
 
     fn key(n: u64) -> ElabKey {
@@ -192,7 +191,7 @@ mod tests {
     fn get_put_and_stats() {
         let cache = ElabCache::new();
         assert!(cache.get(&key(1)).is_none());
-        let cd = compiled(1);
+        let cd = design(1);
         cache.put(key(1), Arc::clone(&cd));
         let hit = cache.get(&key(1)).expect("hit");
         assert!(Arc::ptr_eq(&hit, &cd), "hit shares the stored design");
@@ -203,11 +202,11 @@ mod tests {
     #[test]
     fn eviction_bounds_entries_and_keeps_hot_keys() {
         let cache = ElabCache::new();
-        let hot = compiled(0);
+        let hot = design(0);
         cache.put(key(u64::MAX), Arc::clone(&hot));
         assert!(cache.get(&key(u64::MAX)).is_some());
         let flood = (SHARDS * MAX_ENTRIES_PER_SHARD + 512) as u64;
-        let cold = compiled(7);
+        let cold = design(7);
         for n in 0..flood {
             cache.put(key(n), Arc::clone(&cold));
         }
@@ -226,7 +225,7 @@ mod tests {
         assert!(with_active(|_| ()).is_none());
         {
             let _g1 = outer.install();
-            with_active(|c| c.put(key(7), compiled(7))).expect("outer active");
+            with_active(|c| c.put(key(7), design(7))).expect("outer active");
             {
                 let _g2 = inner.install();
                 assert!(!with_active(|c| c.get(&key(7)).is_some()).expect("inner active"));

@@ -27,7 +27,7 @@ thread_local! {
     /// The active simulation cache (consulted by the runner and
     /// [`crate::EvalSession::run`]).
     pub(crate) static SIM: RefCell<Option<Arc<SimCache>>> = const { RefCell::new(None) };
-    /// The active elaboration cache (consulted by `compiled_for`).
+    /// The active elaboration cache (consulted by `design_for`).
     pub(crate) static ELAB: RefCell<Option<Arc<ElabCache>>> = const { RefCell::new(None) };
     /// The active session pool (consulted by
     /// [`crate::acquire_session`]).
@@ -148,7 +148,7 @@ impl<T> Drop for InstallGuard<T> {
 /// | layer | type | memoizes |
 /// |---|---|---|
 /// | simulation cache | [`SimCache`] | whole testbench runs |
-/// | elaboration cache | [`ElabCache`] | compiled (DUT, driver) designs |
+/// | elaboration cache | [`ElabCache`] | elaborated (DUT, driver) designs |
 /// | session pool | [`EvalContext`] | leased evaluation sessions |
 /// | golden cache | [`GoldenCache`] | per-problem golden artifacts |
 /// | lint cache | [`LintCache`] | static-analysis reports per source |

@@ -54,8 +54,9 @@ pub use install::{
 pub use lintcache::{lint_cached, LintCache};
 pub use record::{parse_record, parse_records, FieldValue, Record, RecordBinding};
 pub use runner::{
-    compile_pair, judge_records, limits_for, run_testbench, run_testbench_parsed, simulate_records,
-    simulate_records_limited, simulate_records_parsed, ScenarioResult, TbError, TbRun,
+    elaborate_pair, judge_records, limits_for, run_testbench, run_testbench_parsed,
+    simulate_records, simulate_records_limited, simulate_records_parsed, ScenarioResult, TbError,
+    TbRun,
 };
 pub use scenarios::{generate_scenarios, Scenario, ScenarioSet, Stimulus};
 pub use session::{force_one_shot, EvalSession, OneShotGuard};

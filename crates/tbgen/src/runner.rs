@@ -11,7 +11,7 @@ use crate::scenarios::ScenarioSet;
 use correctbench_checker::{step, CheckerProgram, CheckerRunError, CheckerState};
 use correctbench_dataset::Problem;
 use correctbench_verilog::{
-    elaborate, parse, CompiledDesign, SimError, SimLimits, Simulator, VerilogError,
+    elaborate, parse, Design, SimError, SimLimits, Simulator, VerilogError,
 };
 use std::collections::HashMap;
 use std::fmt;
@@ -119,9 +119,9 @@ pub fn simulate_records_parsed(
 /// driver that lost its `$finish` cannot burn the full default horizon.
 ///
 /// When an [`crate::ElabCache`] is installed on the current thread (see
-/// [`crate::ElabCache::install`]), the combine-elaborate-compile step is
+/// [`crate::ElabCache::install`]), the combine-elaborate step is
 /// memoized under the structural hashes of the two sources; repeated
-/// pairs reuse the shared [`CompiledDesign`] and only simulate.
+/// pairs reuse the shared [`Design`] and only simulate.
 ///
 /// # Errors
 ///
@@ -131,9 +131,9 @@ pub fn simulate_records_limited(
     driver: &correctbench_verilog::ast::SourceFile,
     limits: SimLimits,
 ) -> Result<(Vec<Record>, u64), TbError> {
-    let compiled = compiled_for(dut, driver)?;
+    let design = design_for(dut, driver)?;
     let (limits, binding) = budgeted_limits(limits);
-    let out = Simulator::from_compiled_with_limits(&compiled, limits)
+    let out = Simulator::with_limits(&design, limits)
         .run()
         .map_err(|e| classify_sim_err(e, binding))?;
     Ok((parse_records(&out.lines), out.end_time))
@@ -176,40 +176,38 @@ pub(crate) fn classify_sim_err(err: SimError, binding: bool) -> VerilogError {
     }
 }
 
-/// The compiled form of the combined DUT + driver design, through the
-/// thread's elaboration cache when one is installed.
-pub(crate) fn compiled_for(
+/// The elaborated combination of DUT and driver, through the thread's
+/// elaboration cache when one is installed.
+pub(crate) fn design_for(
     dut: &correctbench_verilog::ast::SourceFile,
     driver: &correctbench_verilog::ast::SourceFile,
-) -> Result<Arc<CompiledDesign>, TbError> {
+) -> Result<Arc<Design>, TbError> {
     let key = crate::elab::with_active(|_| crate::elab::ElabKey::for_pair(dut, driver));
     if let Some(key) = key {
         if let Some(hit) = crate::elab::with_active(|c| c.get(&key)).flatten() {
             return Ok(hit);
         }
-        let compiled = Arc::new(compile_pair(dut, driver)?);
-        crate::elab::with_active(|c| c.put(key, Arc::clone(&compiled)));
-        return Ok(compiled);
+        let design = Arc::new(elaborate_pair(dut, driver)?);
+        crate::elab::with_active(|c| c.put(key, Arc::clone(&design)));
+        return Ok(design);
     }
-    Ok(Arc::new(compile_pair(dut, driver)?))
+    Ok(Arc::new(elaborate_pair(dut, driver)?))
 }
 
 /// Combines a DUT with a driver, elaborates the pair under
-/// [`crate::driver::TB_MODULE`] and compiles it for the simulator —
-/// the single definition of "the design a testbench run executes",
-/// shared by the runner, the benches and the differential tests.
+/// [`crate::driver::TB_MODULE`] — the single definition of "the design
+/// a testbench run executes", shared by the runner and the benches.
 ///
 /// # Errors
 ///
 /// Elaboration failure of the combined design.
-pub fn compile_pair(
+pub fn elaborate_pair(
     dut: &correctbench_verilog::ast::SourceFile,
     driver: &correctbench_verilog::ast::SourceFile,
-) -> Result<CompiledDesign, TbError> {
+) -> Result<Design, TbError> {
     let mut file = dut.clone();
     file.modules.extend(driver.modules.iter().cloned());
-    let design = elaborate(&file, crate::driver::TB_MODULE).map_err(VerilogError::from)?;
-    Ok(CompiledDesign::new(design))
+    Ok(elaborate(&file, crate::driver::TB_MODULE).map_err(VerilogError::from)?)
 }
 
 /// The simulation-time bound implied by a scenario schedule: every

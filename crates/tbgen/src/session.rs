@@ -16,14 +16,14 @@
 //! * the **record bindings** — `(checker input → record field, port
 //!   width)` resolved to indices once, not string-searched per record;
 //! * the **simulator** — kept while consecutive runs execute the same
-//!   [`CompiledDesign`] (by `Arc` identity, which the
+//!   elaborated [`Design`] (by `Arc` identity, which the
 //!   [`ElabCache`](crate::ElabCache) makes common) and rewound with
 //!   [`Simulator::reset`] instead of reconstructed;
 //! * the **judging buffers** (per-scenario flags, positional inputs).
 //!
 //! Both cache layers keep working: [`EvalSession::run`] consults the
 //! thread's [`SimCache`](crate::SimCache) under the same content key as
-//! the one-shot path and compiles through the thread's
+//! the one-shot path and elaborates through the thread's
 //! [`ElabCache`](crate::ElabCache). Results are byte-identical to the
 //! one-shot path (the harness determinism suite pins session vs one-shot
 //! artifact equality), so the free functions are now thin wrappers over
@@ -31,13 +31,13 @@
 
 use crate::cache::{module_interface_fingerprint, CacheKey};
 use crate::record::{parse_records, Record, RecordBinding};
-use crate::runner::{compiled_for, limits_for, ScenarioResult, TbError, TbRun};
+use crate::runner::{design_for, limits_for, ScenarioResult, TbError, TbRun};
 use crate::scenarios::ScenarioSet;
 use correctbench_checker::{CheckerProgram, JudgeSession};
 use correctbench_dataset::Problem;
 use correctbench_verilog::ast::SourceFile;
 use correctbench_verilog::hash::Fingerprint;
-use correctbench_verilog::{CompiledDesign, LogicVec, Simulator};
+use correctbench_verilog::{Design, LogicVec, Simulator};
 use std::sync::Arc;
 
 /// A reusable evaluation session for one `(problem, checker)` pair.
@@ -89,10 +89,10 @@ pub struct EvalSession {
     input_buf: Vec<LogicVec>,
     seen: Vec<bool>,
     failed: Vec<bool>,
-    /// Kept while consecutive runs share a compiled design.
+    /// Kept while consecutive runs share an elaborated design.
     sim: Option<Simulator<'static>>,
     /// The session's own level-0 design memo: fingerprints of the last
-    /// (DUT, driver) pair and its compiled form. Repeated pairs — the
+    /// (DUT, driver) pair and its elaborated design. Repeated pairs — the
     /// defining shape of a sweep — reuse the simulator even when no
     /// thread-wide [`ElabCache`](crate::ElabCache) is installed. Keyed
     /// on [`SourceFile::fingerprint`]: the caller's files cache their
@@ -101,7 +101,7 @@ pub struct EvalSession {
     /// only to dodge the old Debug-render hashing cost.
     last_dut: Option<Fingerprint>,
     last_driver: Option<Fingerprint>,
-    last_compiled: Option<Arc<CompiledDesign>>,
+    last_design: Option<Arc<Design>>,
 }
 
 impl EvalSession {
@@ -157,32 +157,28 @@ impl EvalSession {
             sim: None,
             last_dut: None,
             last_driver: None,
-            last_compiled: None,
+            last_design: None,
         })
     }
 
-    /// The compiled pair: session memo first, then the thread's
-    /// elaboration cache (via [`compiled_for`], which hashes only when a
-    /// cache is installed), then a fresh compile. Compilation is a pure
-    /// function of the two sources, so an equality hit is semantically
-    /// identical to recompiling.
-    fn compiled(
-        &mut self,
-        dut: &SourceFile,
-        driver: &SourceFile,
-    ) -> Result<Arc<CompiledDesign>, TbError> {
+    /// The elaborated pair: session memo first, then the thread's
+    /// elaboration cache (via [`design_for`], which hashes only when a
+    /// cache is installed), then a fresh elaboration. Elaboration is a
+    /// pure function of the two sources, so an equality hit is
+    /// semantically identical to re-elaborating.
+    fn design(&mut self, dut: &SourceFile, driver: &SourceFile) -> Result<Arc<Design>, TbError> {
         let dut_fp = dut.fingerprint();
         let driver_fp = driver.fingerprint();
         if self.last_dut == Some(dut_fp) && self.last_driver == Some(driver_fp) {
-            if let Some(cd) = &self.last_compiled {
-                return Ok(Arc::clone(cd));
+            if let Some(design) = &self.last_design {
+                return Ok(Arc::clone(design));
             }
         }
-        let cd = compiled_for(dut, driver)?;
+        let design = design_for(dut, driver)?;
         self.last_dut = Some(dut_fp);
         self.last_driver = Some(driver_fp);
-        self.last_compiled = Some(Arc::clone(&cd));
-        Ok(cd)
+        self.last_design = Some(Arc::clone(&design));
+        Ok(design)
     }
 
     /// Runs the hybrid testbench against one DUT — the session
@@ -220,7 +216,7 @@ impl EvalSession {
 
     /// Sweeps one driver across many DUTs — the RS-matrix / Eval2 shape.
     /// Setup (checker compilation, bindings) is shared; the simulator is
-    /// reused whenever consecutive DUTs compile to the same design.
+    /// reused whenever consecutive DUTs elaborate to the same design.
     pub fn sweep_mutants<'d>(
         &mut self,
         duts: impl IntoIterator<Item = &'d SourceFile>,
@@ -270,15 +266,15 @@ impl EvalSession {
                 end_time,
             });
         }
-        let compiled = self.compiled(dut, driver)?;
+        let design = self.design(dut, driver)?;
         let (limits, binding) = crate::runner::budgeted_limits(limits_for(scenarios));
         let sim = match &mut self.sim {
-            Some(sim) if sim.shares(&compiled) => {
+            Some(sim) if sim.shares(&design) => {
                 sim.reset();
                 sim.set_limits(limits);
                 sim
             }
-            slot => slot.insert(Simulator::from_shared_with_limits(compiled, limits)),
+            slot => slot.insert(Simulator::from_design_with_limits(design, limits)),
         };
         let out = sim
             .run()

@@ -2,9 +2,9 @@
 //!
 //! Elaboration flattens the module hierarchy into a [`Design`]: a table of
 //! signals, a list of continuous assignments, and a list of processes whose
-//! bodies are compiled to a small bytecode ([`Instr`]) so that the event
-//! simulator can suspend them at delays and event controls and resume them
-//! later.
+//! bodies are lowered to flat instruction lists ([`Instr`]) so that the
+//! event simulator can suspend them at delays and event controls and
+//! resume them later. The simulator executes this form directly.
 //!
 //! Expression evaluation implements the Verilog context-determined sizing
 //! rules: operands of arithmetic and bitwise operators are extended to the
@@ -176,7 +176,7 @@ pub enum RSysArg {
     Expr(RExpr),
 }
 
-/// One bytecode instruction of a process body.
+/// One instruction of a process body.
 #[derive(Clone, Debug)]
 pub enum Instr {
     /// Blocking assignment.
@@ -222,12 +222,12 @@ pub enum ProcessKind {
     Always,
 }
 
-/// A compiled process.
+/// An elaborated process.
 #[derive(Clone, Debug)]
 pub struct ProcessDef {
     /// Initial or always.
     pub kind: ProcessKind,
-    /// Bytecode body.
+    /// Instruction list.
     pub code: Vec<Instr>,
     /// Debug name (`initial#0`, `always#2`).
     pub name: String,

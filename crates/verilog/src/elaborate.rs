@@ -3,8 +3,8 @@
 //! Elaboration resolves names to signal ids, folds parameters into
 //! constants, flattens the instance hierarchy with dotted name prefixes,
 //! binds instance ports with continuous assignments, annotates expressions
-//! with Verilog sizing information, and compiles procedural bodies to the
-//! bytecode executed by the simulator.
+//! with Verilog sizing information, and lowers procedural bodies to the
+//! flat instruction lists the simulator executes.
 
 use crate::ast::*;
 use crate::design::*;
@@ -770,7 +770,7 @@ pub fn const_eval(e: &RExpr) -> Option<LogicVec> {
     Some(eval(e, e.width, &NoSigs))
 }
 
-/// Statement-to-bytecode compiler for one process body.
+/// Lowers the statements of one process body to an instruction list.
 struct BodyCompiler<'a, 'b> {
     el: &'a mut Elaborator<'b>,
     scope: &'a Scope,

@@ -5,13 +5,13 @@
 //! It provides:
 //!
 //! * [`logic`] — four-state values ([`logic::LogicVec`], inline for
-//!   widths ≤ 64, with in-place mutating ops);
+//!   widths ≤ 64);
 //! * [`lexer`] / [`parser`] / [`ast`] — the front end;
-//! * [`elaborate`] — hierarchy flattening into a [`Design`];
-//! * [`compile`] — compile-once register bytecode
-//!   ([`compile::CompiledDesign`]) for run-many simulation;
-//! * [`sim`] — the event-driven simulator with `$display` capture and
-//!   tree-walk/bytecode execution modes;
+//! * [`elaborate`](mod@elaborate) — hierarchy flattening into a
+//!   [`Design`];
+//! * [`sim`] — the event-driven simulator with `$display` capture, which
+//!   interprets the elaborated [`Design`] directly (borrowed for one-shot
+//!   runs, shared through an `Arc` for run-many sessions);
 //! * [`pretty`] — AST → source rendering (artifacts round-trip as text);
 //! * [`mutate`] — semantic mutation (Eval2 mutants, validator RTL groups,
 //!   simulated-LLM defect injection);
@@ -47,7 +47,6 @@
 #![forbid(unsafe_code)]
 
 pub mod ast;
-pub mod compile;
 pub mod corrupt;
 pub mod dataflow;
 pub mod design;
@@ -63,7 +62,6 @@ pub mod pretty;
 pub mod sim;
 pub mod sysfmt;
 
-pub use compile::{compile, CompiledDesign};
 pub use design::{Design, SignalId};
 pub use elaborate::elaborate;
 pub use error::{ElabError, ParseError, SimError, VerilogError};
@@ -71,4 +69,4 @@ pub use hash::{fnv1a64, structural_hash, Fingerprint, FingerprintHasher, Structu
 pub use lint::{lint_file, Diagnostic, LintReport, Rule, Severity};
 pub use logic::{Bit, LogicVec};
 pub use parser::parse;
-pub use sim::{run_source, ExecMode, SimLimits, SimOutput, Simulator};
+pub use sim::{run_source, SimLimits, SimOutput, Simulator};

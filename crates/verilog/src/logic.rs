@@ -23,11 +23,10 @@
 //! designs — are stored **inline** as two `u64` plane words with no heap
 //! allocation; wider vectors spill to heap-allocated word vectors. The
 //! variant is determined solely by the width, so plane-level equality and
-//! hashing remain value equality. On top of the value-returning operators
-//! the type offers **in-place mutating ops** (`and_assign`, `add_assign`,
-//! `not_assign`, [`LogicVec::assign_resize`], …) used by the bytecode
-//! simulator so steady-state expression evaluation performs zero
-//! allocations.
+//! hashing remain value equality. A few **in-place mutating ops**
+//! ([`LogicVec::assign_resize`], [`LogicVec::write_range`],
+//! [`LogicVec::set_all_x`], …) let the simulator and the checker's slot
+//! executor update stored values without reallocating them.
 
 use std::fmt;
 
@@ -515,7 +514,7 @@ impl LogicVec {
     /// In-place resize: overwrites `self` with `src` truncated or extended
     /// to `self`'s width (sign-extension replicates `src`'s MSB including
     /// `x`/`z` when `signed`). The zero-allocation workhorse behind
-    /// [`LogicVec::resize`] and the bytecode executor's signal loads.
+    /// [`LogicVec::resize`] and the checker's slot commits.
     pub fn assign_resize(&mut self, src: &LogicVec, signed: bool) {
         let width = self.width;
         let copy = src.width.min(width);
@@ -678,27 +677,9 @@ impl LogicVec {
         self.bitwise(other, and_words)
     }
 
-    /// In-place bitwise AND with an equal-width operand.
-    ///
-    /// # Panics
-    ///
-    /// Panics if widths differ.
-    pub fn and_assign(&mut self, other: &LogicVec) {
-        self.bitwise_assign(other, and_words)
-    }
-
     /// Bitwise OR with `x` propagation (`1 | x == 1`).
     pub fn or(&self, other: &LogicVec) -> LogicVec {
         self.bitwise(other, or_words)
-    }
-
-    /// In-place bitwise OR with an equal-width operand.
-    ///
-    /// # Panics
-    ///
-    /// Panics if widths differ.
-    pub fn or_assign(&mut self, other: &LogicVec) {
-        self.bitwise_assign(other, or_words)
     }
 
     /// Bitwise XOR (`x` if either bit is unknown).
@@ -706,28 +687,9 @@ impl LogicVec {
         self.bitwise(other, xor_words)
     }
 
-    /// In-place bitwise XOR with an equal-width operand.
-    ///
-    /// # Panics
-    ///
-    /// Panics if widths differ.
-    pub fn xor_assign(&mut self, other: &LogicVec) {
-        self.bitwise_assign(other, xor_words)
-    }
-
     /// Bitwise XNOR.
     pub fn xnor(&self, other: &LogicVec) -> LogicVec {
         self.xor(other).not()
-    }
-
-    /// In-place bitwise XNOR with an equal-width operand.
-    ///
-    /// # Panics
-    ///
-    /// Panics if widths differ.
-    pub fn xnor_assign(&mut self, other: &LogicVec) {
-        self.xor_assign(other);
-        self.not_assign();
     }
 
     fn bitwise(&self, other: &LogicVec, f: impl Fn(u64, u64, u64, u64) -> (u64, u64)) -> LogicVec {
@@ -852,21 +814,6 @@ impl LogicVec {
         out
     }
 
-    /// In-place wrapping addition with an equal-width operand (all-`x`
-    /// result when either input has unknown bits).
-    ///
-    /// # Panics
-    ///
-    /// Panics if widths differ.
-    pub fn add_assign(&mut self, other: &LogicVec) {
-        assert_eq!(self.width, other.width, "add_assign width mismatch");
-        if !self.is_fully_known() || !other.is_fully_known() {
-            self.set_all_x();
-            return;
-        }
-        self.add_known(other);
-    }
-
     /// Word-level wrapping add; both sides must be fully known and of
     /// `self`'s width.
     fn add_known(&mut self, other: &LogicVec) {
@@ -895,20 +842,6 @@ impl LogicVec {
             out.sub_known(&other.zero_extend(width));
         }
         out
-    }
-
-    /// In-place wrapping subtraction with an equal-width operand.
-    ///
-    /// # Panics
-    ///
-    /// Panics if widths differ.
-    pub fn sub_assign(&mut self, other: &LogicVec) {
-        assert_eq!(self.width, other.width, "sub_assign width mismatch");
-        if !self.is_fully_known() || !other.is_fully_known() {
-            self.set_all_x();
-            return;
-        }
-        self.sub_known(other);
     }
 
     fn sub_known(&mut self, other: &LogicVec) {
@@ -1130,17 +1063,6 @@ impl LogicVec {
             }
         }
         true
-    }
-
-    /// Overwrites every bit with zero in place.
-    pub fn set_all_zero(&mut self) {
-        let (val, unk) = self.planes_mut();
-        for w in val.iter_mut() {
-            *w = 0;
-        }
-        for w in unk.iter_mut() {
-            *w = 0;
-        }
     }
 
     /// `casez` match: `z` bits in `pattern` (or in `self`) are wildcards.
@@ -1768,26 +1690,6 @@ mod tests {
     fn assign_ops_match_value_ops() {
         for width in [1, 7, 63, 64, 65, 100, 128, 130] {
             for a in sample_vectors(width) {
-                for b in sample_vectors(width) {
-                    let mut m = a.clone();
-                    m.and_assign(&b);
-                    assert_eq!(m, a.and(&b), "and w={width}");
-                    let mut m = a.clone();
-                    m.or_assign(&b);
-                    assert_eq!(m, a.or(&b), "or w={width}");
-                    let mut m = a.clone();
-                    m.xor_assign(&b);
-                    assert_eq!(m, a.xor(&b), "xor w={width}");
-                    let mut m = a.clone();
-                    m.xnor_assign(&b);
-                    assert_eq!(m, a.xnor(&b), "xnor w={width}");
-                    let mut m = a.clone();
-                    m.add_assign(&b);
-                    assert_eq!(m, a.add(&b), "add w={width}");
-                    let mut m = a.clone();
-                    m.sub_assign(&b);
-                    assert_eq!(m, a.sub(&b), "sub w={width}");
-                }
                 let mut m = a.clone();
                 m.not_assign();
                 assert_eq!(m, a.not(), "not w={width}");

@@ -8,26 +8,20 @@
 //! next scheduled delay. Combinational oscillation is caught by a
 //! delta-cycle limit; runaway testbenches by a global event budget.
 //!
-//! # Execution modes
+//! # Execution
 //!
-//! The simulator runs a [`CompiledDesign`] in one of two modes:
+//! The simulator interprets the elaborated design directly: process
+//! bodies are the flat [`Instr`] sequences elaboration produced, and
+//! every expression is evaluated by walking its `RExpr` tree with
+//! [`eval`]. The design is borrowed (or shared through an [`Arc`]) and
+//! never cloned: the executor borrows each instruction from the design
+//! while it mutates the value table and the scheduler queues, so no
+//! step clones an instruction.
 //!
-//! * [`ExecMode::Bytecode`] (the default) executes the compile-once
-//!   register bytecode of [`crate::compile`]: no per-step instruction
-//!   cloning, no per-node allocation — the scratch register file is
-//!   preallocated once and every op mutates it in place.
-//! * [`ExecMode::TreeWalk`] interprets the elaborated `RExpr` trees
-//!   directly. It is the executable semantic reference the differential
-//!   tests compare the bytecode against, and the baseline the benchmarks
-//!   measure the speedup from.
-//!
-//! Both modes share the scheduler, the commit/wake machinery and the
-//! system-task handling; a run's [`SimOutput`] is identical by
-//! construction of the bytecode and verified by the differential
-//! proptests in [`crate::compile`] and the whole-design differential
-//! suite `crates/tbgen/tests/exec_diff.rs`.
+//! The step budget ([`SimLimits::max_steps`]) counts process
+//! instructions: one step per instruction executed, plus one when a
+//! process runs off the end of its code.
 
-use crate::compile::{exec_unit, CInstr, CLValue, CSysArg, CompiledDesign, ExprId, ValueStore};
 use crate::design::*;
 use crate::error::SimError;
 use crate::logic::{Bit, LogicVec};
@@ -64,16 +58,6 @@ impl Default for SimLimits {
             deadline: None,
         }
     }
-}
-
-/// How the simulator executes process bodies and expressions.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum ExecMode {
-    /// Register bytecode over a preallocated scratch file (fast path).
-    #[default]
-    Bytecode,
-    /// Direct interpretation of the `RExpr` trees (semantic reference).
-    TreeWalk,
 }
 
 /// The result of a completed simulation.
@@ -115,23 +99,20 @@ enum Watcher {
     Process { idx: usize, edge: crate::ast::Edge },
 }
 
-/// Either a borrowed, pre-compiled design (the run-many hot path), one
-/// compiled and owned by this simulator (the convenience constructors),
-/// or a shared handle (the session hot path: the simulator owns an `Arc`
-/// so it is `'static` and can live inside a long-lived session next to
-/// the cache entry it executes).
+/// Either a borrowed design (one-shot runs) or a shared handle (the
+/// session hot path: the simulator co-owns an `Arc` so it is `'static`
+/// and can live inside a long-lived session next to the cache entry it
+/// executes).
 enum DesignRef<'d> {
-    Borrowed(&'d CompiledDesign),
-    Owned(Box<CompiledDesign>),
-    Shared(Arc<CompiledDesign>),
+    Borrowed(&'d Design),
+    Shared(Arc<Design>),
 }
 
 impl DesignRef<'_> {
-    fn get(&self) -> &CompiledDesign {
+    fn get(&self) -> &Design {
         match self {
-            DesignRef::Borrowed(cd) => cd,
-            DesignRef::Owned(cd) => cd,
-            DesignRef::Shared(cd) => cd,
+            DesignRef::Borrowed(d) => d,
+            DesignRef::Shared(d) => d,
         }
     }
 }
@@ -164,87 +145,59 @@ impl DesignRef<'_> {
 /// # }
 /// ```
 ///
-/// Compile once, run many (the harness hot path — repeated runs reuse
-/// the bytecode, the literal pool and the flattened design):
+/// Elaborate once, run many (the harness hot path — a shared design
+/// and one simulator rewound with [`Simulator::reset`] between runs):
 ///
 /// ```
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// use correctbench_verilog::{compile, parse, elaborate, Simulator};
+/// use correctbench_verilog::{parse, elaborate, Simulator};
+/// use std::sync::Arc;
 ///
 /// let src = "module tb; initial begin $display(\"hi\"); $finish; end endmodule";
-/// let compiled = compile(&elaborate(&parse(src)?, "tb")?);
+/// let design = Arc::new(elaborate(&parse(src)?, "tb")?);
+/// let mut sim = Simulator::from_design(Arc::clone(&design));
 /// for _ in 0..3 {
-///     assert_eq!(Simulator::from_compiled(&compiled).run()?.lines, vec!["hi"]);
+///     assert_eq!(sim.run()?.lines, vec!["hi"]);
+///     sim.reset();
 /// }
 /// # Ok(())
 /// # }
 /// ```
 pub struct Simulator<'d> {
-    compiled: DesignRef<'d>,
+    design: DesignRef<'d>,
     state: SimState,
-    mode: ExecMode,
 }
 
 impl<'d> Simulator<'d> {
-    /// Creates a simulator with default [`SimLimits`], compiling the
-    /// design. Prefer [`Simulator::from_compiled`] when the same design
-    /// is simulated more than once.
+    /// Creates a simulator over a borrowed design with default
+    /// [`SimLimits`]. Construction allocates only the value table and
+    /// the scheduler state.
     pub fn new(design: &'d Design) -> Self {
         Self::with_limits(design, SimLimits::default())
     }
 
-    /// Creates a simulator with explicit limits, compiling the design.
+    /// [`Simulator::new`] with explicit limits.
     pub fn with_limits(design: &'d Design, limits: SimLimits) -> Self {
-        let compiled = Box::new(CompiledDesign::new(design.clone()));
-        let state = SimState::new(&compiled, limits);
         Simulator {
-            compiled: DesignRef::Owned(compiled),
-            state,
-            mode: ExecMode::default(),
+            state: SimState::new(design, limits),
+            design: DesignRef::Borrowed(design),
         }
     }
 
-    /// Creates a simulator over a pre-compiled design with default
-    /// limits. Construction allocates only the value and scratch tables.
-    pub fn from_compiled(compiled: &'d CompiledDesign) -> Self {
-        Self::from_compiled_with_limits(compiled, SimLimits::default())
+    /// Creates a `'static` simulator that co-owns a shared design: the
+    /// session constructor. Pair with [`Simulator::reset`] to sweep many
+    /// runs over one design without reconstructing the value table or
+    /// the scheduler queues.
+    pub fn from_design(design: Arc<Design>) -> Simulator<'static> {
+        Self::from_design_with_limits(design, SimLimits::default())
     }
 
-    /// [`Simulator::from_compiled`] with explicit limits.
-    pub fn from_compiled_with_limits(compiled: &'d CompiledDesign, limits: SimLimits) -> Self {
-        let state = SimState::new(compiled, limits);
+    /// [`Simulator::from_design`] with explicit limits.
+    pub fn from_design_with_limits(design: Arc<Design>, limits: SimLimits) -> Simulator<'static> {
         Simulator {
-            compiled: DesignRef::Borrowed(compiled),
-            state,
-            mode: ExecMode::default(),
+            state: SimState::new(&design, limits),
+            design: DesignRef::Shared(design),
         }
-    }
-
-    /// Creates a `'static` simulator that co-owns a shared compiled
-    /// design: the session constructor. Pair with [`Simulator::reset`] to
-    /// sweep many runs over one design without reconstructing the value
-    /// table, the scratch file, or the scheduler queues.
-    pub fn from_shared(compiled: Arc<CompiledDesign>) -> Simulator<'static> {
-        Self::from_shared_with_limits(compiled, SimLimits::default())
-    }
-
-    /// [`Simulator::from_shared`] with explicit limits.
-    pub fn from_shared_with_limits(
-        compiled: Arc<CompiledDesign>,
-        limits: SimLimits,
-    ) -> Simulator<'static> {
-        let state = SimState::new(&compiled, limits);
-        Simulator {
-            compiled: DesignRef::Shared(compiled),
-            state,
-            mode: ExecMode::default(),
-        }
-    }
-
-    /// Selects the execution mode (default [`ExecMode::Bytecode`]).
-    pub fn with_mode(mut self, mode: ExecMode) -> Self {
-        self.mode = mode;
-        self
     }
 
     /// Replaces the simulation limits for the next run (sessions bound
@@ -253,12 +206,13 @@ impl<'d> Simulator<'d> {
         self.state.limits = limits;
     }
 
-    /// `true` when this simulator executes `compiled` (sessions use this
-    /// to decide between [`Simulator::reset`] and reconstruction).
-    pub fn shares(&self, compiled: &Arc<CompiledDesign>) -> bool {
-        match &self.compiled {
-            DesignRef::Shared(cd) => Arc::ptr_eq(cd, compiled),
-            _ => false,
+    /// `true` when this simulator executes the shared `design` (sessions
+    /// use this to decide between [`Simulator::reset`] and
+    /// reconstruction).
+    pub fn shares(&self, design: &Arc<Design>) -> bool {
+        match &self.design {
+            DesignRef::Shared(d) => Arc::ptr_eq(d, design),
+            DesignRef::Borrowed(_) => false,
         }
     }
 
@@ -281,13 +235,9 @@ impl<'d> Simulator<'d> {
     /// out (runaway zero-delay loops).
     pub fn run(&mut self) -> Result<SimOutput, SimError> {
         let _span = correctbench_obs::span(correctbench_obs::Phase::Simulate);
-        let Simulator {
-            compiled,
-            state,
-            mode,
-        } = self;
+        let Simulator { design, state } = self;
         let steps_before = state.steps;
-        let out = state.run(compiled.get(), *mode);
+        let out = state.run(design.get());
         // Flush the run's work volumes to the job's collector (inert
         // when none is armed). The accumulators are pure measurement
         // fields, zeroed after flush so a session's next run reports its
@@ -308,30 +258,24 @@ impl<'d> Simulator<'d> {
     }
 
     /// Rewinds every piece of mutable simulation state to power-on —
-    /// value table back to all-x, scratch registers to their compiled
-    /// widths, scheduler queues, watcher lists, captured lines, time and
-    /// budgets all cleared — **without releasing any allocation** that
-    /// still fits. A reset simulator is observationally identical to a
-    /// newly constructed one (pinned by `reset_replays_identically`); the
-    /// point is that a session sweeping N runs pays the table setup once,
-    /// not N times.
+    /// value table back to all-x, scheduler queues, watcher lists,
+    /// captured lines, time and budgets all cleared — **without
+    /// releasing any allocation** that still fits. A reset simulator is
+    /// observationally identical to a newly constructed one (pinned by
+    /// `reset_replays_identically`); the point is that a session
+    /// sweeping N runs pays the table setup once, not N times.
     pub fn reset(&mut self) {
-        let Simulator {
-            compiled, state, ..
-        } = self;
-        state.reset(compiled.get());
+        let Simulator { design, state } = self;
+        state.reset(design.get());
     }
 }
 
 /// All mutable simulation state, split from the (shared, immutable)
-/// compiled design so the executor borrows instead of cloning: an
-/// instruction reference from the design and mutable access to values,
-/// scratch registers and scheduler queues coexist without any per-step
-/// `Instr`/`RExpr` clone.
+/// design so the executor borrows instead of cloning: an instruction
+/// reference from the design and mutable access to values and scheduler
+/// queues coexist without any per-step `Instr`/`RExpr` clone.
 struct SimState {
     values: Vec<LogicVec>,
-    /// Bytecode scratch registers, preallocated at their compiled widths.
-    scratch: Vec<LogicVec>,
     time: u64,
     procs: Vec<ProcState>,
     sig_watchers: Vec<Vec<Watcher>>,
@@ -356,8 +300,7 @@ struct SimState {
 }
 
 impl SimState {
-    fn new(cd: &CompiledDesign, limits: SimLimits) -> SimState {
-        let design = cd.design();
+    fn new(design: &Design, limits: SimLimits) -> SimState {
         let values = design
             .signals
             .iter()
@@ -379,7 +322,6 @@ impl SimState {
         }
         SimState {
             values,
-            scratch: cd.new_scratch(),
             time: 0,
             procs,
             sig_watchers,
@@ -397,21 +339,13 @@ impl SimState {
         }
     }
 
-    /// Rewinds to power-on state in place, preserving allocations: value
-    /// and scratch vectors keep their buffers (widths are re-pinned —
-    /// an errored run can abandon a placeholder in a scratch slot),
-    /// watcher lists are rebuilt with their capacity, queues are cleared.
-    fn reset(&mut self, cd: &CompiledDesign) {
-        let design = cd.design();
+    /// Rewinds to power-on state in place, preserving allocations: the
+    /// value table keeps its buffers, watcher lists are rebuilt with
+    /// their capacity, queues are cleared.
+    fn reset(&mut self, design: &Design) {
         for (slot, sig) in self.values.iter_mut().zip(design.signals.iter()) {
             debug_assert_eq!(slot.width(), sig.width.max(1));
             slot.set_all_x();
-        }
-        for (slot, w) in self.scratch.iter_mut().zip(cd.reg_widths.iter()) {
-            let w = (*w as usize).max(1);
-            if slot.width() != w {
-                *slot = LogicVec::zeros(w);
-            }
         }
         self.time = 0;
         for p in &mut self.procs {
@@ -449,16 +383,16 @@ impl SimState {
         }
     }
 
-    fn run(&mut self, cd: &CompiledDesign, mode: ExecMode) -> Result<SimOutput, SimError> {
+    fn run(&mut self, design: &Design) -> Result<SimOutput, SimError> {
         // Time zero: all continuous assignments evaluate once, every
         // process starts.
-        for i in 0..cd.design().assigns.len() {
+        for i in 0..design.assigns.len() {
             self.active.push_back(Activation::Assign(i));
         }
-        for i in 0..cd.design().processes.len() {
+        for i in 0..design.processes.len() {
             self.active.push_back(Activation::Process(i));
         }
-        self.settle(cd, mode)?;
+        self.settle(design)?;
         while !self.finished {
             let Some(std::cmp::Reverse((t, _, proc))) = self.timed.pop() else {
                 break;
@@ -483,7 +417,7 @@ impl SimState {
                 self.procs[p2].status = ProcStatus::Ready;
                 self.active.push_back(Activation::Process(p2));
             }
-            self.settle(cd, mode)?;
+            self.settle(design)?;
         }
         Ok(SimOutput {
             lines: std::mem::take(&mut self.lines),
@@ -493,8 +427,7 @@ impl SimState {
     }
 
     /// Runs the active/NBA delta loop at the current time.
-    fn settle(&mut self, cd: &CompiledDesign, mode: ExecMode) -> Result<(), SimError> {
-        let design = cd.design();
+    fn settle(&mut self, design: &Design) -> Result<(), SimError> {
         let mut deltas = 0usize;
         // Oscillation through continuous assignments alone never touches
         // the NBA queue, so the activation count itself must be bounded.
@@ -513,11 +446,9 @@ impl SimState {
                 if activations > activation_budget {
                     return Err(SimError::DeltaOverflow { time: self.time });
                 }
-                match (act, mode) {
-                    (Activation::Assign(i), ExecMode::Bytecode) => self.eval_assign(cd, i)?,
-                    (Activation::Assign(i), ExecMode::TreeWalk) => self.eval_assign_tree(cd, i)?,
-                    (Activation::Process(i), ExecMode::Bytecode) => self.run_process(cd, i)?,
-                    (Activation::Process(i), ExecMode::TreeWalk) => self.run_process_tree(cd, i)?,
+                match act {
+                    Activation::Assign(i) => self.eval_assign(design, i),
+                    Activation::Process(i) => self.run_process(design, i)?,
                 }
             }
             if self.nba.is_empty() {
@@ -540,278 +471,30 @@ impl SimState {
         }
     }
 
-    // ---- bytecode execution ----
+    // ---- execution ----
 
-    /// Runs expression unit `id` and returns its output register index.
-    /// The borrow-split here is the core of the zero-clone design: the
-    /// bytecode lives in `cd`, the registers and signal values in `self`,
-    /// so execution needs no cloning and no interior mutability.
-    fn exec(&mut self, cd: &CompiledDesign, id: ExprId) -> usize {
-        exec_unit(cd, id, &mut self.scratch, &self.values, self.time);
-        cd.out_reg(id)
-    }
-
-    /// Moves an evaluated value out of its scratch register (swapping in
-    /// a 1-bit placeholder) so the write walk can borrow `self` mutably;
-    /// [`SimState::untake`] restores it afterwards, keeping the register
-    /// file's preallocated widths intact.
-    fn take(&mut self, reg: usize) -> LogicVec {
-        std::mem::replace(&mut self.scratch[reg], LogicVec::zeros(1))
-    }
-
-    fn untake(&mut self, reg: usize, value: LogicVec) {
-        self.scratch[reg] = value;
-    }
-
-    fn eval_assign(&mut self, cd: &CompiledDesign, i: usize) -> Result<(), SimError> {
-        let a = &cd.assigns[i];
-        let out = self.exec(cd, a.rhs);
-        let value = self.take(out);
-        self.write_lvalue(cd, &a.lhs, &value)?;
-        self.untake(out, value);
-        Ok(())
-    }
-
-    fn run_process(&mut self, cd: &CompiledDesign, i: usize) -> Result<(), SimError> {
-        loop {
-            self.steps += 1;
-            if self.steps > self.limits.max_steps {
-                return Err(SimError::EventBudgetExhausted);
-            }
-            if self.steps & 0xFFF == 0 {
-                self.check_deadline()?;
-            }
-            let code = &cd.processes[i].code;
-            let pc = self.procs[i].pc;
-            let Some(instr) = code.get(pc) else {
-                self.procs[i].status = ProcStatus::Done;
-                return Ok(());
-            };
-            match instr {
-                CInstr::Assign { lhs, rhs } => {
-                    let out = self.exec(cd, *rhs);
-                    let value = self.take(out);
-                    self.write_lvalue(cd, lhs, &value)?;
-                    self.untake(out, value);
-                    self.procs[i].pc = pc + 1;
-                }
-                CInstr::NbAssign { lhs, rhs } => {
-                    let out = self.exec(cd, *rhs);
-                    let value = self.take(out);
-                    self.schedule_nba(cd, lhs, &value)?;
-                    self.untake(out, value);
-                    self.procs[i].pc = pc + 1;
-                }
-                CInstr::JumpIfFalse { cond, target } => {
-                    let out = self.exec(cd, *cond);
-                    let t = self.scratch[out].truthy();
-                    self.procs[i].pc = if t == Bit::One { pc + 1 } else { *target };
-                }
-                CInstr::Jump(target) => {
-                    self.procs[i].pc = *target;
-                }
-                CInstr::CaseJump {
-                    sel,
-                    kind,
-                    arms,
-                    default,
-                } => {
-                    let sel_reg = self.exec(cd, *sel);
-                    let mut target = *default;
-                    'arms: for (labels, t) in arms {
-                        for l in labels {
-                            let l_reg = self.exec(cd, *l);
-                            let selv = &self.scratch[sel_reg];
-                            let lv = &self.scratch[l_reg];
-                            let hit = match kind {
-                                crate::ast::CaseKind::Case => selv.eq_case(lv) == Bit::One,
-                                crate::ast::CaseKind::Casez => selv.casez_match(lv),
-                                crate::ast::CaseKind::Casex => selv.casex_match(lv),
-                            };
-                            if hit {
-                                target = *t;
-                                break 'arms;
-                            }
-                        }
-                    }
-                    self.procs[i].pc = target;
-                }
-                CInstr::Delay(d) => {
-                    self.procs[i].pc = pc + 1;
-                    self.procs[i].status = ProcStatus::Waiting;
-                    self.seq += 1;
-                    self.timed
-                        .push(std::cmp::Reverse((self.time + d, self.seq, i)));
-                    return Ok(());
-                }
-                CInstr::WaitEvent(edges) => {
-                    self.procs[i].pc = pc + 1;
-                    self.procs[i].status = ProcStatus::Waiting;
-                    for (edge, sig) in edges {
-                        self.sig_watchers[sig.0 as usize].push(Watcher::Process {
-                            idx: i,
-                            edge: *edge,
-                        });
-                    }
-                    return Ok(());
-                }
-                CInstr::SysCall { name, args } => {
-                    if is_display(name) {
-                        let line = self.render(cd, args, display_skip(name));
-                        self.lines.push(line);
-                    }
-                    self.syscall_effect(name);
-                    if self.finished {
-                        return Ok(());
-                    }
-                    self.procs[i].pc = pc + 1;
-                }
-                CInstr::Halt => {
-                    self.procs[i].status = ProcStatus::Done;
-                    return Ok(());
-                }
-            }
+    /// A read-only view of the value table for [`eval`].
+    fn store(&self) -> ValueStore<'_> {
+        ValueStore {
+            values: &self.values,
+            time: self.time,
         }
     }
 
-    fn render(&mut self, cd: &CompiledDesign, args: &[CSysArg], skip: usize) -> String {
-        let args = &args[skip.min(args.len())..];
-        let (fmt, rest): (&str, &[CSysArg]) = match args.first() {
-            Some(CSysArg::Str(s)) => (s, &args[1..]),
-            _ => {
-                // No format string: default-format every argument.
-                let mut parts = Vec::new();
-                for a in args {
-                    if let CSysArg::Expr(e) = a {
-                        let out = self.exec(cd, *e);
-                        parts.push(self.scratch[out].to_decimal_string());
-                    }
-                }
-                return parts.join(" ");
-            }
-        };
-        let mut values: Vec<LogicVec> = Vec::with_capacity(rest.len());
-        for a in rest {
-            if let CSysArg::Expr(e) = a {
-                let out = self.exec(cd, *e);
-                values.push(self.scratch[out].clone());
-            }
-        }
-        format_display(fmt, &values, self.time)
+    /// Evaluates the right-hand side of an assignment to `lhs`: sized
+    /// to the wider of the two sides, then resized to the target width.
+    fn eval_rhs(&self, design: &Design, lhs: &RLValue, rhs: &RExpr) -> LogicVec {
+        let lhs_width = lhs.width(design);
+        eval(rhs, lhs_width.max(rhs.width), &self.store()).resize(lhs_width, rhs.signed)
     }
 
-    /// Immediately writes `value` through an lvalue (blocking semantics).
-    /// Dynamic indices are evaluated lazily, in target order, exactly as
-    /// the tree-walker does.
-    fn write_lvalue(
-        &mut self,
-        cd: &CompiledDesign,
-        lhs: &CLValue,
-        value: &LogicVec,
-    ) -> Result<(), SimError> {
-        match lhs {
-            CLValue::Sig(s) => {
-                self.commit_bits(*s, 0, value);
-                Ok(())
-            }
-            CLValue::Part(s, lo, w) => {
-                self.commit_bits(*s, *lo, &value.slice(0, *w));
-                Ok(())
-            }
-            CLValue::Bit(s, idx) => {
-                let out = self.exec(cd, *idx);
-                if let Some(i) = self.scratch[out].to_u64() {
-                    let width = cd.design().signal(*s).width;
-                    if (i as usize) < width {
-                        self.commit_bits(*s, i as usize, &value.slice(0, 1));
-                    }
-                }
-                Ok(())
-            }
-            CLValue::IndexedPart(s, base, w) => {
-                let out = self.exec(cd, *base);
-                if let Some(lo) = self.scratch[out].to_u64() {
-                    self.commit_bits(*s, lo as usize, &value.slice(0, *w));
-                }
-                Ok(())
-            }
-            CLValue::Concat(parts) => {
-                // MSB-first: the last part takes the low bits.
-                let mut lo = 0usize;
-                for part in parts.iter().rev() {
-                    let w = part.width(cd.design());
-                    let chunk = value.slice(lo, w);
-                    self.write_lvalue(cd, part, &chunk)?;
-                    lo += w;
-                }
-                Ok(())
-            }
-        }
+    fn eval_assign(&mut self, design: &Design, i: usize) {
+        let a = &design.assigns[i];
+        let value = self.eval_rhs(design, &a.lhs, &a.rhs);
+        self.write_lvalue(design, &a.lhs, value);
     }
 
-    /// Schedules an NBA update.
-    fn schedule_nba(
-        &mut self,
-        cd: &CompiledDesign,
-        lhs: &CLValue,
-        value: &LogicVec,
-    ) -> Result<(), SimError> {
-        match lhs {
-            CLValue::Sig(s) => {
-                self.nba.push((*s, 0, value.clone()));
-                Ok(())
-            }
-            CLValue::Part(s, lo, w) => {
-                self.nba.push((*s, *lo, value.slice(0, *w)));
-                Ok(())
-            }
-            CLValue::Bit(s, idx) => {
-                let out = self.exec(cd, *idx);
-                if let Some(i) = self.scratch[out].to_u64() {
-                    let width = cd.design().signal(*s).width;
-                    if (i as usize) < width {
-                        self.nba.push((*s, i as usize, value.slice(0, 1)));
-                    }
-                }
-                Ok(())
-            }
-            CLValue::IndexedPart(s, base, w) => {
-                let out = self.exec(cd, *base);
-                if let Some(lo) = self.scratch[out].to_u64() {
-                    self.nba.push((*s, lo as usize, value.slice(0, *w)));
-                }
-                Ok(())
-            }
-            CLValue::Concat(parts) => {
-                let mut lo = 0usize;
-                for part in parts.iter().rev() {
-                    let w = part.width(cd.design());
-                    let chunk = value.slice(lo, w);
-                    self.schedule_nba(cd, part, &chunk)?;
-                    lo += w;
-                }
-                Ok(())
-            }
-        }
-    }
-
-    // ---- tree-walk execution (semantic reference) ----
-
-    fn eval_assign_tree(&mut self, cd: &CompiledDesign, i: usize) -> Result<(), SimError> {
-        let a = &cd.design().assigns[i];
-        let lhs_width = a.lhs.width(cd.design());
-        let value = {
-            let store = ValueStore {
-                values: &self.values,
-                time: self.time,
-            };
-            eval(&a.rhs, lhs_width.max(a.rhs.width), &store).resize(lhs_width, a.rhs.signed)
-        };
-        self.write_lvalue_tree(cd, &a.lhs, value)
-    }
-
-    fn run_process_tree(&mut self, cd: &CompiledDesign, i: usize) -> Result<(), SimError> {
-        let design = cd.design();
+    fn run_process(&mut self, design: &Design, i: usize) -> Result<(), SimError> {
         loop {
             self.steps += 1;
             if self.steps > self.limits.max_steps {
@@ -827,34 +510,17 @@ impl SimState {
             };
             match instr {
                 Instr::Assign(lhs, rhs) => {
-                    let lhs_width = lhs.width(design);
-                    let v = {
-                        let store = ValueStore {
-                            values: &self.values,
-                            time: self.time,
-                        };
-                        eval(rhs, lhs_width.max(rhs.width), &store).resize(lhs_width, rhs.signed)
-                    };
-                    self.write_lvalue_tree(cd, lhs, v)?;
+                    let v = self.eval_rhs(design, lhs, rhs);
+                    self.write_lvalue(design, lhs, v);
                     self.procs[i].pc = pc + 1;
                 }
                 Instr::NbAssign(lhs, rhs) => {
-                    let lhs_width = lhs.width(design);
-                    let v = {
-                        let store = ValueStore {
-                            values: &self.values,
-                            time: self.time,
-                        };
-                        eval(rhs, lhs_width.max(rhs.width), &store).resize(lhs_width, rhs.signed)
-                    };
-                    self.schedule_nba_tree(cd, lhs, v)?;
+                    let v = self.eval_rhs(design, lhs, rhs);
+                    self.schedule_nba(design, lhs, v);
                     self.procs[i].pc = pc + 1;
                 }
                 Instr::JumpIfFalse(cond, target) => {
-                    let store = ValueStore {
-                        values: &self.values,
-                        time: self.time,
-                    };
+                    let store = self.store();
                     let t = eval(cond, cond.width, &store).truthy();
                     self.procs[i].pc = if t == Bit::One { pc + 1 } else { *target };
                 }
@@ -867,10 +533,7 @@ impl SimState {
                     arms,
                     default,
                 } => {
-                    let store = ValueStore {
-                        values: &self.values,
-                        time: self.time,
-                    };
+                    let store = self.store();
                     let sel_w = arms
                         .iter()
                         .flat_map(|(ls, _)| ls.iter().map(|l| l.width))
@@ -914,7 +577,7 @@ impl SimState {
                 }
                 Instr::SysCall { name, args } => {
                     if is_display(name) {
-                        let line = self.render_tree(args, display_skip(name));
+                        let line = self.render(args, display_skip(name));
                         self.lines.push(line);
                     }
                     self.syscall_effect(name);
@@ -931,11 +594,8 @@ impl SimState {
         }
     }
 
-    fn render_tree(&self, args: &[RSysArg], skip: usize) -> String {
-        let store = ValueStore {
-            values: &self.values,
-            time: self.time,
-        };
+    fn render(&self, args: &[RSysArg], skip: usize) -> String {
+        let store = self.store();
         let args = &args[skip.min(args.len())..];
         let (fmt, rest): (&str, &[RSysArg]) = match args.first() {
             Some(RSysArg::Str(s)) => (s, &args[1..]),
@@ -960,126 +620,73 @@ impl SimState {
         format_display(fmt, &values, self.time)
     }
 
-    fn write_lvalue_tree(
-        &mut self,
-        cd: &CompiledDesign,
-        lhs: &RLValue,
-        value: LogicVec,
-    ) -> Result<(), SimError> {
+    fn write_lvalue(&mut self, design: &Design, lhs: &RLValue, value: LogicVec) {
         match lhs {
-            RLValue::Sig(s) => {
-                self.commit_bits(*s, 0, &value);
-                Ok(())
-            }
-            RLValue::Part(s, lo, w) => {
-                self.commit_bits(*s, *lo, &value.slice(0, *w));
-                Ok(())
-            }
+            RLValue::Sig(s) => self.commit_bits(*s, 0, &value),
+            RLValue::Part(s, lo, w) => self.commit_bits(*s, *lo, &value.slice(0, *w)),
             RLValue::Bit(s, idx) => {
-                let i = {
-                    let store = ValueStore {
-                        values: &self.values,
-                        time: self.time,
-                    };
-                    eval(idx, idx.width, &store)
-                };
+                let i = eval(idx, idx.width, &self.store());
                 if let Some(i) = i.to_u64() {
-                    let width = cd.design().signal(*s).width;
+                    let width = design.signal(*s).width;
                     if (i as usize) < width {
                         self.commit_bits(*s, i as usize, &value.slice(0, 1));
                     }
                 }
-                Ok(())
             }
             RLValue::IndexedPart(s, base, w) => {
-                let b = {
-                    let store = ValueStore {
-                        values: &self.values,
-                        time: self.time,
-                    };
-                    eval(base, base.width, &store)
-                };
+                let b = eval(base, base.width, &self.store());
                 if let Some(lo) = b.to_u64() {
                     self.commit_bits(*s, lo as usize, &value.slice(0, *w));
                 }
-                Ok(())
             }
             RLValue::Concat(parts) => {
                 // MSB-first: the last part takes the low bits.
                 let mut lo = 0usize;
                 for part in parts.iter().rev() {
-                    let w = part.width(cd.design());
+                    let w = part.width(design);
                     let chunk = value.slice(lo, w);
-                    self.write_lvalue_tree(cd, part, chunk)?;
+                    self.write_lvalue(design, part, chunk);
                     lo += w;
                 }
-                Ok(())
             }
         }
     }
 
-    fn schedule_nba_tree(
-        &mut self,
-        cd: &CompiledDesign,
-        lhs: &RLValue,
-        value: LogicVec,
-    ) -> Result<(), SimError> {
+    fn schedule_nba(&mut self, design: &Design, lhs: &RLValue, value: LogicVec) {
         match lhs {
-            RLValue::Sig(s) => {
-                self.nba.push((*s, 0, value));
-                Ok(())
-            }
-            RLValue::Part(s, lo, w) => {
-                self.nba.push((*s, *lo, value.slice(0, *w)));
-                Ok(())
-            }
+            RLValue::Sig(s) => self.nba.push((*s, 0, value)),
+            RLValue::Part(s, lo, w) => self.nba.push((*s, *lo, value.slice(0, *w))),
             RLValue::Bit(s, idx) => {
-                let i = {
-                    let store = ValueStore {
-                        values: &self.values,
-                        time: self.time,
-                    };
-                    eval(idx, idx.width, &store)
-                };
+                let i = eval(idx, idx.width, &self.store());
                 if let Some(i) = i.to_u64() {
-                    let width = cd.design().signal(*s).width;
+                    let width = design.signal(*s).width;
                     if (i as usize) < width {
                         self.nba.push((*s, i as usize, value.slice(0, 1)));
                     }
                 }
-                Ok(())
             }
             RLValue::IndexedPart(s, base, w) => {
-                let b = {
-                    let store = ValueStore {
-                        values: &self.values,
-                        time: self.time,
-                    };
-                    eval(base, base.width, &store)
-                };
+                let b = eval(base, base.width, &self.store());
                 if let Some(lo) = b.to_u64() {
                     self.nba.push((*s, lo as usize, value.slice(0, *w)));
                 }
-                Ok(())
             }
             RLValue::Concat(parts) => {
                 let mut lo = 0usize;
                 for part in parts.iter().rev() {
-                    let w = part.width(cd.design());
+                    let w = part.width(design);
                     let chunk = value.slice(lo, w);
-                    self.schedule_nba_tree(cd, part, chunk)?;
+                    self.schedule_nba(design, part, chunk);
                     lo += w;
                 }
-                Ok(())
             }
         }
     }
 
-    // ---- shared machinery ----
+    // ---- scheduling ----
 
     /// Applies a system task's scheduler effect (display rendering is
-    /// handled by the callers, which own the mode-specific argument
-    /// evaluation).
+    /// handled by the caller).
     fn syscall_effect(&mut self, name: &str) {
         match name {
             "$finish" | "$stop" => {
@@ -1160,6 +767,21 @@ impl SimState {
     }
 }
 
+/// Signal-value view the tree evaluator reads from.
+struct ValueStore<'a> {
+    values: &'a [LogicVec],
+    time: u64,
+}
+
+impl SigRead for ValueStore<'_> {
+    fn read(&self, id: SignalId) -> &LogicVec {
+        &self.values[id.0 as usize]
+    }
+    fn now(&self) -> u64 {
+        self.time
+    }
+}
+
 /// Display-family system tasks that render a line.
 fn is_display(name: &str) -> bool {
     matches!(name, "$display" | "$write" | "$fdisplay" | "$fwrite")
@@ -1193,27 +815,9 @@ mod tests {
         run_source(src, top).expect("simulation ok")
     }
 
-    /// Runs `src` in both modes and checks they agree before returning
-    /// the bytecode output — every legacy simulator test doubles as a
-    /// tree-vs-bytecode differential check.
-    fn run_both(src: &str, top: &str) -> SimOutput {
-        let file = crate::parser::parse(src).expect("parse");
-        let design = crate::elaborate::elaborate(&file, top).expect("elab");
-        let compiled = CompiledDesign::new(design);
-        let byte = Simulator::from_compiled(&compiled).run().expect("bytecode");
-        let tree = Simulator::from_compiled(&compiled)
-            .with_mode(ExecMode::TreeWalk)
-            .run()
-            .expect("tree");
-        assert_eq!(byte.lines, tree.lines, "modes disagree on output");
-        assert_eq!(byte.end_time, tree.end_time, "modes disagree on time");
-        assert_eq!(byte.finished, tree.finished);
-        byte
-    }
-
     #[test]
     fn combinational_assign() {
-        let out = run_both(
+        let out = run(
             "module tb;\nreg [3:0] a, b;\nwire [3:0] y;\nassign y = a + b;\ninitial begin\na = 4'd3; b = 4'd4;\n#1 $display(\"y=%0d\", y);\na = 4'd9;\n#1 $display(\"y=%0d\", y);\n$finish;\nend\nendmodule",
             "tb",
         );
@@ -1223,7 +827,7 @@ mod tests {
 
     #[test]
     fn clocked_register() {
-        let out = run_both(
+        let out = run(
             "module tb;\nreg clk, d;\nreg q;\nalways @(posedge clk) q <= d;\ninitial begin\nclk = 0; d = 1;\n#1 $display(\"q=%b\", q);\n#4 clk = 1;\n#1 $display(\"q=%b\", q);\nd = 0;\n#4 clk = 0;\n#5 clk = 1;\n#1 $display(\"q=%b\", q);\n$finish;\nend\nendmodule",
             "tb",
         );
@@ -1232,7 +836,7 @@ mod tests {
 
     #[test]
     fn nonblocking_swap() {
-        let out = run_both(
+        let out = run(
             "module tb;\nreg clk;\nreg [3:0] a, b;\nalways @(posedge clk) begin a <= b; b <= a; end\ninitial begin\nclk = 0; a = 4'd1; b = 4'd2;\n#5 clk = 1;\n#1 $display(\"a=%0d b=%0d\", a, b);\n$finish;\nend\nendmodule",
             "tb",
         );
@@ -1241,7 +845,7 @@ mod tests {
 
     #[test]
     fn clock_generator_and_counter() {
-        let out = run_both(
+        let out = run(
             "module tb;\nreg clk = 0;\nalways #5 clk = ~clk;\nreg [7:0] n = 0;\nalways @(posedge clk) n <= n + 8'd1;\ninitial begin\n#52 $display(\"n=%0d\", n);\n$finish;\nend\nendmodule",
             "tb",
         );
@@ -1251,7 +855,7 @@ mod tests {
 
     #[test]
     fn dut_instance() {
-        let out = run_both(
+        let out = run(
             "module add1(input [3:0] a, output [3:0] y);\nassign y = a + 4'd1;\nendmodule\nmodule tb;\nreg [3:0] a;\nwire [3:0] y;\nadd1 dut(.a(a), .y(y));\ninitial begin\na = 4'd7;\n#1 $display(\"y=%0d\", y);\n$finish;\nend\nendmodule",
             "tb",
         );
@@ -1260,7 +864,7 @@ mod tests {
 
     #[test]
     fn always_star_mux() {
-        let out = run_both(
+        let out = run(
             "module tb;\nreg s;\nreg [3:0] a, b;\nreg [3:0] y;\nalways @(*) begin if (s) y = a; else y = b; end\ninitial begin\na = 4'd10; b = 4'd5; s = 0;\n#1 $display(\"y=%0d\", y);\ns = 1;\n#1 $display(\"y=%0d\", y);\n$finish;\nend\nendmodule",
             "tb",
         );
@@ -1288,29 +892,24 @@ mod tests {
     }
 
     #[test]
-    fn zero_delay_runaway_caught_in_both_modes() {
+    fn zero_delay_runaway_caught() {
         let src =
             "module tb;\nreg x;\ninitial begin x = 0; forever begin #0; x = ~x; end end\nendmodule";
         // #0 delays still advance the queue at the same time; the step
         // budget eventually trips.
         let file = crate::parser::parse(src).expect("parse");
         let design = crate::elaborate::elaborate(&file, "tb").expect("elab");
-        let compiled = CompiledDesign::new(design);
         let limits = SimLimits {
             max_steps: 10_000,
             ..SimLimits::default()
         };
-        for mode in [ExecMode::Bytecode, ExecMode::TreeWalk] {
-            let r = Simulator::from_compiled_with_limits(&compiled, limits)
-                .with_mode(mode)
-                .run();
-            assert!(matches!(r, Err(SimError::EventBudgetExhausted)), "{mode:?}");
-        }
+        let r = Simulator::with_limits(&design, limits).run();
+        assert!(matches!(r, Err(SimError::EventBudgetExhausted)));
     }
 
     #[test]
     fn for_loop_popcount() {
-        let out = run_both(
+        let out = run(
             "module tb;\nreg [7:0] v;\nreg [3:0] n;\ninteger i;\ninitial begin\nv = 8'b1011_0110;\nn = 0;\nfor (i = 0; i < 8; i = i + 1) if (v[i]) n = n + 1;\n$display(\"n=%0d\", n);\n$finish;\nend\nendmodule",
             "tb",
         );
@@ -1319,7 +918,7 @@ mod tests {
 
     #[test]
     fn case_statement() {
-        let out = run_both(
+        let out = run(
             "module tb;\nreg [1:0] s;\nreg [3:0] y;\nalways @(*) begin\ncase (s)\n2'd0: y = 4'd1;\n2'd1: y = 4'd2;\ndefault: y = 4'd15;\nendcase\nend\ninitial begin\ns = 2'd0; #1 $display(\"%0d\", y);\ns = 2'd1; #1 $display(\"%0d\", y);\ns = 2'd3; #1 $display(\"%0d\", y);\n$finish;\nend\nendmodule",
             "tb",
         );
@@ -1328,7 +927,7 @@ mod tests {
 
     #[test]
     fn event_wait_in_initial() {
-        let out = run_both(
+        let out = run(
             "module tb;\nreg clk = 0;\nalways #5 clk = ~clk;\ninitial begin\n@(posedge clk);\n$display(\"t=%0d\", $time);\n@(posedge clk);\n$display(\"t=%0d\", $time);\n$finish;\nend\nendmodule",
             "tb",
         );
@@ -1337,7 +936,7 @@ mod tests {
 
     #[test]
     fn part_select_write() {
-        let out = run_both(
+        let out = run(
             "module tb;\nreg [7:0] v;\ninitial begin\nv = 8'h00;\nv[3:0] = 4'hf;\nv[6] = 1'b1;\n$display(\"%h\", v);\n$finish;\nend\nendmodule",
             "tb",
         );
@@ -1346,7 +945,7 @@ mod tests {
 
     #[test]
     fn concat_lvalue() {
-        let out = run_both(
+        let out = run(
             "module tb;\nreg [3:0] hi, lo;\ninitial begin\n{hi, lo} = 8'hA5;\n$display(\"%h %h\", hi, lo);\n$finish;\nend\nendmodule",
             "tb",
         );
@@ -1369,7 +968,7 @@ mod tests {
 
     #[test]
     fn sequential_sr_with_sync_reset() {
-        let out = run_both(
+        let out = run(
             "module tb;\nreg clk = 0, rst;\nalways #5 clk = ~clk;\nreg [3:0] q;\nalways @(posedge clk) begin\nif (rst) q <= 4'd0; else q <= q + 4'd1;\nend\ninitial begin\nrst = 1;\n#12 rst = 0;\n#40 $display(\"q=%0d\", q);\n$finish;\nend\nendmodule",
             "tb",
         );
@@ -1379,7 +978,7 @@ mod tests {
 
     #[test]
     fn wide_arithmetic_and_selects() {
-        let out = run_both(
+        let out = run(
             "module tb;\nreg [99:0] a, b;\nwire [99:0] s;\nassign s = a + b;\ninitial begin\na = 100'd1;\nb = 100'd0;\na = a << 64;\nb = 100'd5;\n#1 $display(\"%0d %0d\", s[99:60], s[7:0]);\n$display(\"%b\", s[64]);\n$finish;\nend\nendmodule",
             "tb",
         );
@@ -1388,11 +987,11 @@ mod tests {
 
     #[test]
     fn hot_path_has_no_per_step_clones() {
-        // The pre-bytecode simulator deep-cloned every executed `Instr`
-        // and the continuous-assign target. Both borrow now; this source
-        // scan keeps the regression from sneaking back in either
-        // execution mode. (The needles are assembled at runtime so the
-        // scan does not match its own source.)
+        // An earlier simulator deep-cloned every executed `Instr` and the
+        // continuous-assign target. Both borrow now; this source scan
+        // keeps the regression from sneaking back in. (The needles are
+        // assembled at runtime so the scan does not match its own
+        // source.)
         let src = include_str!("sim.rs");
         for needle in [
             format!("instr{}", ".clone"),
@@ -1409,17 +1008,16 @@ mod tests {
     #[test]
     fn reset_replays_identically() {
         // A reset simulator must be observationally identical to a fresh
-        // one — including after runs that *errored* (scratch placeholders
-        // abandoned mid-write) or hit limits. Sequential design with NBA
+        // one — including after runs that *errored* or hit limits. Sequential design with NBA
         // traffic, event waits and timed activity exercises every queue.
         let src = "module tb;\nreg clk = 0, rst;\nalways #5 clk = ~clk;\nreg [7:0] q;\nwire [7:0] y;\nassign y = q ^ 8'h0f;\nalways @(posedge clk) begin\nif (rst) q <= 8'd0; else q <= q + 8'd3;\nend\ninitial begin\nrst = 1;\n#12 rst = 0;\n#40 $display(\"q=%0d y=%0d t=%0d\", q, y, $time);\n$finish;\nend\nendmodule";
         let file = crate::parser::parse(src).expect("parse");
         let design = crate::elaborate::elaborate(&file, "tb").expect("elab");
-        let compiled = std::sync::Arc::new(CompiledDesign::new(design));
+        let design = Arc::new(design);
 
-        let reference = Simulator::from_compiled(&compiled).run().expect("fresh");
-        let mut sim = Simulator::from_shared(Arc::clone(&compiled));
-        assert!(sim.shares(&compiled));
+        let reference = Simulator::new(&design).run().expect("fresh");
+        let mut sim = Simulator::from_design(Arc::clone(&design));
+        assert!(sim.shares(&design));
         for round in 0..3 {
             let out = sim.run().expect("session run");
             assert_eq!(out.lines, reference.lines, "round {round}");
@@ -1447,8 +1045,7 @@ mod tests {
         let src = "module tb;\ninitial begin $display(\"once\"); $finish; end\nendmodule";
         let file = crate::parser::parse(src).expect("parse");
         let design = crate::elaborate::elaborate(&file, "tb").expect("elab");
-        let compiled = std::sync::Arc::new(CompiledDesign::new(design));
-        let mut sim = Simulator::from_shared(Arc::clone(&compiled));
+        let mut sim = Simulator::from_design(Arc::new(design));
         assert_eq!(sim.run().expect("first").lines, vec!["once"]);
         // No reset: the finished flag stands, nothing re-executes.
         assert!(sim.run().expect("second").lines.is_empty());

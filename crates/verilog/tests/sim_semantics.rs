@@ -2,7 +2,7 @@
 //! non-blocking assignment, sensitivity, selects, and timing corners that
 //! generated testbenches rely on.
 
-use correctbench_verilog::run_source;
+use correctbench_verilog::{elaborate, parse, run_source, SimError, SimLimits, Simulator};
 
 fn lines(src: &str) -> Vec<String> {
     run_source(src, "tb").expect("simulation ok").lines
@@ -167,4 +167,41 @@ fn parameterised_state_machine() {
         "module tb;\nreg clk = 0;\nalways #5 clk = ~clk;\nparameter IDLE = 2'd0;\nparameter RUN = 2'd2;\nreg [1:0] s;\ninitial s = IDLE;\nalways @(posedge clk) begin\nif (s == IDLE) s <= RUN;\nelse s <= IDLE;\nend\ninitial begin\n#6 $display(\"%0d\", s);\n#10 $display(\"%0d\", s);\n$finish;\nend\nendmodule",
     );
     assert_eq!(out, vec!["2", "0"]);
+}
+
+#[test]
+fn step_budget_boundary_is_exact() {
+    // One process, K = 10 loop trips. Its instruction list is
+    //   0: n = 0          1: i = 0
+    //   2: if !(i < 10) goto 6
+    //   3: n = n + 1      4: i = i + 1      5: goto 2
+    //   6: $display       7: halt
+    // so a run executes 2 + 4*K + 1 (the failing test) + 2 = 4*K + 5
+    // instructions. The budget counts exactly these, so the run must
+    // complete at N and exhaust at N - 1. Job outcomes depend on this
+    // boundary through the runner's budget classification.
+    const K: u64 = 10;
+    const N: u64 = 4 * K + 5;
+    let src = format!(
+        "module tb;\ninteger i;\nreg [7:0] n;\ninitial begin\nn = 0;\nfor (i = 0; i < {K}; i = i + 1) n = n + 1;\n$display(\"n=%0d\", n);\nend\nendmodule"
+    );
+    let design = elaborate(&parse(&src).expect("parse"), "tb").expect("elab");
+    let limits = |max_steps| SimLimits {
+        max_steps,
+        ..SimLimits::default()
+    };
+
+    let _obs = correctbench_obs::ObsStack::enabled().install();
+    let out = Simulator::with_limits(&design, limits(N))
+        .run()
+        .expect("completes at exactly N steps");
+    assert_eq!(out.lines, vec![format!("n={K}")]);
+    let obs = correctbench_obs::take_job().expect("collector armed");
+    assert_eq!(obs.counter(correctbench_obs::Counter::SimInstrs), N);
+
+    let short = Simulator::with_limits(&design, limits(N - 1)).run();
+    assert!(
+        matches!(short, Err(SimError::EventBudgetExhausted)),
+        "N - 1 steps must exhaust the budget, got {short:?}"
+    );
 }
