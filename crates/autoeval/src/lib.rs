@@ -214,13 +214,12 @@ pub fn golden_artifacts(problem: &Problem, seed: u64) -> Arc<GoldenArtifacts> {
 /// differ. Such a mutant needs no simulation in the Eval2 sweep — any
 /// lint-gated pipeline rejects it identically for every testbench, so
 /// the generated and golden testbenches agree on it by construction.
-/// Reports come through the worker's lint cache when one is installed.
 pub fn statically_distinguished(
     dut: &correctbench_verilog::ast::SourceFile,
     mutant: &correctbench_verilog::ast::SourceFile,
 ) -> bool {
-    correctbench_tbgen::lint_cached(dut).signature()
-        != correctbench_tbgen::lint_cached(mutant).signature()
+    correctbench_verilog::lint_file(dut).signature()
+        != correctbench_verilog::lint_file(mutant).signature()
 }
 
 /// Evaluates `tb` for `problem`, returning the highest level reached.
@@ -441,8 +440,9 @@ mod tests {
     fn cached_and_derived_bundles_are_identical() {
         let p = problem("counter_8").expect("problem");
         let derived = derive_golden_artifacts(&p, 9);
-        let cache = correctbench_tbgen::GoldenCache::new();
-        let _guard = cache.install();
+        let _guard = correctbench_tbgen::CacheStack::empty()
+            .with_golden_cache(correctbench_tbgen::GoldenCache::new())
+            .install();
         let first = golden_artifacts(&p, 9);
         let second = golden_artifacts(&p, 9);
         assert!(Arc::ptr_eq(&first, &second), "second call shares the entry");

@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks of the simulator on representative
 //! combinational (`alu_8`) and sequential (`shift18`) testbench runs:
 //! one simulation of an already-elaborated design, and the per-run
-//! elaboration cost the elaboration cache removes. The `bench_sim`
+//! elaboration cost a session's last-pair memo saves. The `bench_sim`
 //! binary emits the machine-readable `BENCH_sim.json` from the same
 //! workload.
 
@@ -45,7 +45,7 @@ fn bench_simulate(c: &mut Criterion) {
                 )
             })
         });
-        // What the elaboration cache saves on every hit.
+        // What a session's last-pair memo saves on every repeated pair.
         c.bench_function(&format!("elaborate_{}", p.name), |b| {
             b.iter(|| black_box(elaborate_pair(&p.dut, &p.driver).expect("elaborate")))
         });

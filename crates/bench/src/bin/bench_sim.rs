@@ -5,15 +5,6 @@
 //! gives each arm's median with its p25–p75 spread, and each pair of
 //! arms that isolates one layer gives a speedup:
 //!
-//! * `elab_simulate_ns` vs `cached_simulate_ns` — the elaboration
-//!   cache: combine DUT + driver, elaborate and simulate (the cache-miss
-//!   path of `run_testbench_parsed`), against simulating an
-//!   already-elaborated `Design` (the cache-hit path).
-//! * `one_shot_sweep_ns` vs `session_sweep_ns` — a repeated-pair sweep
-//!   (the RS-matrix / Eval2 shape) through the legacy one-shot path
-//!   (per-run elaborate, fresh simulator, interpreted judge) and through
-//!   one reusable `EvalSession` (simulator reset, compiled judge,
-//!   session design memo).
 //! * `judge_interp_ns` vs `judge_session_ns` — judging one pre-captured
 //!   record stream with the interpreter (`judge_records`) and with the
 //!   session's compiled checker.
@@ -26,8 +17,9 @@
 //!   evaluation session by constructing it (checker compile + binding
 //!   resolution, the per-job cost the validator and AutoEval used to
 //!   pay) and by leasing it from an installed `EvalContext` pool.
-//! * `cached_simulate_ns` vs `hot_path_obs_ns` — the same simulation
-//!   with no observability collector armed (spans and counter probes
+//! * `cached_simulate_ns` vs `hot_path_obs_ns` — the same simulation of
+//!   an already-elaborated `Design` with no observability collector
+//!   armed (spans and counter probes
 //!   short-circuit on the thread-local check) and with a live per-job
 //!   collector installed (`ObsStack::enabled`), pinning the
 //!   enabled-span overhead the harness pays per job.
@@ -37,19 +29,19 @@
 //!   scratch (the per-cell cost AutoEval paid before the golden cache)
 //!   and by fetching it from an installed `GoldenCache` (steady state:
 //!   every cell of a problem after the first).
-//! * `lint_cold_ns` vs `lint_cached_ns` — running the static-analysis
-//!   pass on the combined (DUT + driver) source from scratch
-//!   (`lint_file`, the lint-cache miss cost) and fetching the memoized
-//!   report from an installed `LintCache` (steady state: a fingerprint
-//!   probe plus an `Arc` clone).
 //! * `store_cold_job_ns` vs `store_warm_hit_ns` — one full evaluation
 //!   job of the problem (CorrectBench method, rep 0) executed from
 //!   scratch and replayed from a primed persistent outcome store
 //!   (probe + cell decode): the cost a warm `correctbench-run --store`
 //!   restart pays per content-identical cell instead of re-executing it.
+//! * `session_sweep_ns` — the absolute cost of a repeated-pair sweep
+//!   (the RS-matrix / Eval2 shape) through one reusable `EvalSession`
+//!   (last-pair design memo, simulator reset, compiled judge).
+//! * `lint_cold_ns` — the absolute cost of the static-analysis pass
+//!   (`lint_file`) on the combined (DUT + driver) source.
 //! * `lint_warn_ns` — the absolute per-job cost `--lint=warn` adds on
-//!   top of a job (combine the sources, parse, fetch the memoized
-//!   report — the parse dominates). Its *relative* overhead only means
+//!   top of a job (combine the sources, parse, lint — the parse
+//!   dominates). Its *relative* overhead only means
 //!   something against a full job, which this micro-benchmark does not
 //!   run, so the end-to-end number is measured on the harness itself
 //!   (the `lint` phase's share of total phase-attributed time in a real
@@ -71,9 +63,9 @@ use correctbench_harness::{
 use correctbench_llm::SimulatedClientFactory;
 use correctbench_obs::ObsStack;
 use correctbench_tbgen::{
-    acquire_session, elaborate_pair, force_one_shot, generate_driver, generate_scenarios,
-    judge_records, limits_for, lint_cached, module_interface_fingerprint, run_testbench_parsed,
-    EvalContext, EvalSession, GoldenCache, LintCache, ScenarioSet,
+    acquire_session, elaborate_pair, generate_driver, generate_scenarios, judge_records,
+    limits_for, module_interface_fingerprint, CacheStack, EvalContext, EvalSession, GoldenCache,
+    ScenarioSet,
 };
 use correctbench_verilog::ast::SourceFile;
 use correctbench_verilog::hash::{debug_hash, structural_hash, StructuralHash};
@@ -179,18 +171,6 @@ fn spreads_interleaved(
 /// Layer speedups: (per-problem field, summary field, slow arm, fast arm).
 const SPEEDUPS: &[(&str, &str, &str, &str)] = &[
     (
-        "speedup_elab_cached",
-        "median_speedup_elab_cached_vs_uncached",
-        "elab_simulate",
-        "cached_simulate",
-    ),
-    (
-        "speedup_session_vs_one_shot",
-        "median_speedup_session_vs_one_shot",
-        "one_shot_sweep",
-        "session_sweep",
-    ),
-    (
         "speedup_judge_compiled_vs_interp",
         "median_speedup_judge_compiled_vs_interp",
         "judge_interp",
@@ -213,12 +193,6 @@ const SPEEDUPS: &[(&str, &str, &str, &str)] = &[
         "median_speedup_golden_cached_vs_derived",
         "golden_derive",
         "golden_cached",
-    ),
-    (
-        "speedup_lint_cached",
-        "median_speedup_lint_cached_vs_cold",
-        "lint_cold",
-        "lint_cached",
     ),
     (
         "speedup_store_warm_vs_cold",
@@ -303,24 +277,19 @@ fn main() {
             EvalSession::new(&case.problem, &case.checker).expect("checker compiles");
         let mut judge_session =
             EvalSession::new(&case.problem, &case.checker).expect("checker compiles");
-        let pool = EvalContext::new();
-        let _pool_guard = pool.install();
-        let golden_cache = GoldenCache::new();
-        let _golden_guard = golden_cache.install();
+        let _layers = CacheStack::empty()
+            .with_session_pool(EvalContext::new())
+            .with_golden_cache(GoldenCache::new())
+            .install();
         // Prime the golden shard so the cached arm measures steady-state
         // hits, not the first derivation.
         std::hint::black_box(golden_artifacts(&case.problem, GOLDEN_SEED));
         // The combined (DUT + driver) source the worker's lint pass
-        // analyzes: pre-parsed for the cold/cached pair; the warn-mode
-        // arm rebuilds it from the texts, as the worker does per job.
+        // analyzes: pre-parsed for the cold arm; the warn-mode arm
+        // rebuilds it from the texts, as the worker does per job.
         let driver_text = generate_driver(&case.problem, &case.scenarios);
         let combined_lint = parse(&format!("{}\n{}", case.problem.golden_rtl, driver_text))
             .expect("combined parses");
-        let lint_cache = LintCache::new();
-        let _lint_guard = lint_cache.install();
-        // Prime the lint shard so the cached arm measures steady-state
-        // fetches.
-        std::hint::black_box(lint_cached(&combined_lint));
         // The persistent-store pair: one full job of this problem
         // (CorrectBench, rep 0) executed cold vs replayed from a store
         // primed with its published cell.
@@ -343,36 +312,12 @@ fn main() {
         let arms = spreads_interleaved(
             samples,
             &mut [
-                ("elab_simulate", &mut || {
-                    let fresh = elaborate_pair(&case.dut, &case.driver).expect("elaborate");
-                    simulate(&case, &fresh);
-                }),
                 ("cached_simulate", &mut || simulate(&case, &design)),
                 ("hot_path_obs", &mut || {
                     // The identical simulation with a collector armed:
                     // every span and counter flush does real work.
                     let _obs = ObsStack::enabled().install();
                     simulate(&case, &design);
-                }),
-                ("one_shot_sweep", &mut || {
-                    // The legacy one-shot path, as a sweep caller pays it
-                    // without a session: per-run front end, fresh
-                    // simulator, interpreted judge. (No sim/elab cache
-                    // is installed in this process, and the one-shot
-                    // guard bypasses the session pool.)
-                    let _guard = force_one_shot();
-                    for _ in 0..SWEEP {
-                        std::hint::black_box(
-                            run_testbench_parsed(
-                                &case.dut,
-                                &case.driver,
-                                &case.checker,
-                                &case.problem,
-                                &case.scenarios,
-                            )
-                            .expect("run ok"),
-                        );
-                    }
                 }),
                 ("session_sweep", &mut || {
                     for _ in 0..SWEEP {
@@ -444,22 +389,15 @@ fn main() {
                     std::hint::black_box(golden_artifacts(&case.problem, GOLDEN_SEED));
                 }),
                 ("lint_cold", &mut || {
-                    // The static-analysis pass from scratch: the
-                    // lint-cache miss cost.
+                    // The static-analysis pass alone.
                     std::hint::black_box(lint_file(&combined_lint));
-                }),
-                ("lint_cached", &mut || {
-                    // Fetch the primed report from the installed
-                    // lint cache (steady state: every cell of a
-                    // problem after the first).
-                    std::hint::black_box(lint_cached(&combined_lint));
                 }),
                 ("lint_warn", &mut || {
                     // Exactly what `--lint=warn` adds per job:
-                    // combine, parse, fetch the memoized report.
+                    // combine, parse, lint.
                     let combined = format!("{}\n{}", case.problem.golden_rtl, driver_text);
                     let parsed = parse(&combined).expect("combined parses");
-                    std::hint::black_box(lint_cached(&parsed));
+                    std::hint::black_box(lint_file(&parsed));
                 }),
                 ("store_cold_job", &mut || {
                     // The cold side: the full job a warm restart

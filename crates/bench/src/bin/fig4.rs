@@ -20,7 +20,9 @@ fn main() {
     // Both `alu_8` panels share one RTL group's worth of simulations:
     // the harness cache answers the repeats.
     let cache = correctbench_harness::SimCache::new();
-    let _guard = cache.install();
+    let _guard = correctbench_harness::CacheStack::empty()
+        .with_sim_cache(std::sync::Arc::clone(&cache))
+        .install();
 
     for (title, name, inject) in [
         ("Correct TB (combinational task `alu_8`)", "alu_8", 0usize),

@@ -11,7 +11,7 @@
 //!   (`verilog::lint`), jobs in canonical order, each job's findings in
 //!   the report's sorted order. The lint pass is pure, so this file
 //!   shares the determinism contract above.
-//! * `timings.jsonl` (schema v2) — measured run metadata and per-job
+//! * `timings.jsonl` (schema v3) — measured run metadata and per-job
 //!   wall times. The first line describes the run (`run_wall_ms`,
 //!   `threads`, `jobs`, one counter object or `null` per cache layer);
 //!   every following line is one job, in canonical job order, carrying
@@ -379,7 +379,7 @@ fn counters_json(obs: Option<&JobObs>) -> String {
     }
 }
 
-/// Renders the measured timing sidecar for one run (schema v2: job
+/// Renders the measured timing sidecar for one run (schema v3: job
 /// lines carry the `method`/`rep`/`seed` join keys and, with
 /// observability on, per-phase self-times and counters). Cache counters
 /// live here, not in `outcomes.jsonl`: totals depend on worker
@@ -390,15 +390,13 @@ pub fn timings_jsonl(result: &RunResult) -> String {
     let mut s = String::new();
     let _ = writeln!(
         s,
-        "{{\"run_wall_ms\":{},\"threads\":{},\"jobs\":{},\"sim_cache\":{},\"elab_cache\":{},\"session_pool\":{},\"golden_cache\":{},\"lint_cache\":{},\"outcome_store\":{}}}",
+        "{{\"run_wall_ms\":{},\"threads\":{},\"jobs\":{},\"sim_cache\":{},\"session_pool\":{},\"golden_cache\":{},\"outcome_store\":{}}}",
         result.wall.as_millis(),
         result.threads,
         result.outcomes.len(),
         cache_json(result.caches.sim),
-        cache_json(result.caches.elab),
         cache_json(result.caches.sessions),
         cache_json(result.caches.golden),
-        cache_json(result.caches.lint),
         store_json(result.store),
     );
     for o in &result.outcomes {
@@ -435,7 +433,7 @@ pub fn metrics_json(result: &RunResult) -> String {
     }
     let mut s = String::new();
     s.push_str("{\n");
-    let _ = writeln!(s, "  \"schema\": \"correctbench-metrics-v1\",");
+    let _ = writeln!(s, "  \"schema\": \"correctbench-metrics-v2\",");
     let _ = writeln!(s, "  \"run_wall_ms\": {},", result.wall.as_millis());
     let _ = writeln!(s, "  \"threads\": {},", result.threads);
     let _ = writeln!(s, "  \"jobs\": {},", result.outcomes.len());
@@ -452,12 +450,10 @@ pub fn metrics_json(result: &RunResult) -> String {
     let _ = writeln!(s, "  \"counter_totals\": {{{}}},", counter_fields.join(","));
     let _ = writeln!(
         s,
-        "  \"caches\": {{\"sim_cache\":{},\"elab_cache\":{},\"session_pool\":{},\"golden_cache\":{},\"lint_cache\":{},\"outcome_store\":{}}},",
+        "  \"caches\": {{\"sim_cache\":{},\"session_pool\":{},\"golden_cache\":{},\"outcome_store\":{}}},",
         cache_json(result.caches.sim),
-        cache_json(result.caches.elab),
         cache_json(result.caches.sessions),
         cache_json(result.caches.golden),
-        cache_json(result.caches.lint),
         store_json(result.store),
     );
     // Per-rule diagnostic totals over the deterministic lint findings,

@@ -5,7 +5,7 @@
 //! ```
 //!
 //! Reads a `timings.jsonl` produced by `correctbench-run --out` (schema
-//! v2: a run line followed by one line per job) and re-renders what a
+//! v3: a run line followed by one line per job) and re-renders what a
 //! live run puts in `summary.txt`/`metrics.json`: per-`(problem,
 //! method)` job-latency percentiles (p50/p90/p99/max, from the same
 //! deterministic-structure log-bucketed histogram) plus phase and

@@ -7,19 +7,18 @@
 //!                  [--job-deadline-ms N] [--lint off|warn|gate]
 //!                  [--store DIR] [--no-store] [--store-readonly]
 //!                  [--faults SPEC] [--mutate-golden NAME] [--no-cache]
-//!                  [--no-sim-cache] [--no-elab-cache]
-//!                  [--no-session-pool] [--no-golden-cache]
-//!                  [--no-lint-cache] [--no-obs] [--progress] [--quiet]
+//!                  [--no-sim-cache] [--no-session-pool]
+//!                  [--no-golden-cache] [--no-obs] [--progress] [--quiet]
 //! ```
 //!
 //! Expands (problems × methods × reps) into a job graph and runs it on a
-//! worker pool with one shared `CacheStack` (simulation cache,
-//! elaboration cache, session pool, golden-artifact cache, lint-report
-//! cache). Each layer has its own `--no-*-cache` switch; `--no-cache`
-//! is the alias that disables all five. Prints the aggregate summary,
-//! and (with `--out`) writes `outcomes.jsonl` (deterministic,
-//! thread-count and cache independent), `diagnostics.jsonl` (the
-//! equally deterministic static-analysis findings), `timings.jsonl`
+//! worker pool with one shared `CacheStack` (simulation cache, session
+//! pool, golden-artifact cache). Each layer has its own `--no-*` switch;
+//! `--no-cache` is the alias that disables all three. Prints the
+//! aggregate summary, and (with `--out`) writes `outcomes.jsonl`
+//! (deterministic, thread-count and cache independent),
+//! `diagnostics.jsonl` (the equally deterministic static-analysis
+//! findings), `timings.jsonl`
 //! (measured: per-layer cache counters plus per-job phase self-times
 //! and work counters), `metrics.json` (aggregated phase/counter totals,
 //! per-rule lint counts and latency percentiles) and `summary.txt`.
@@ -82,8 +81,8 @@ use std::sync::Arc;
 const EXTRA_USAGE: &str = "[--methods cb,ab,base] [--model gpt-4o|claude-3.5-sonnet|gpt-4o-mini] \
      [--resume DIR] [--sim-budget N] [--job-deadline-ms N] [--lint off|warn|gate] \
      [--store DIR] [--no-store] [--store-readonly] [--faults SPEC] [--mutate-golden NAME] \
-     [--no-cache] [--no-sim-cache] [--no-elab-cache] [--no-session-pool] [--no-golden-cache] \
-     [--no-lint-cache] [--no-obs] [--progress] [--quiet]";
+     [--no-cache] [--no-sim-cache] [--no-session-pool] [--no-golden-cache] \
+     [--no-obs] [--progress] [--quiet]";
 
 fn parse_methods(spec: &str) -> Vec<Method> {
     let methods: Vec<Method> = spec
@@ -121,25 +120,21 @@ fn infra(msg: &str) -> ! {
 #[derive(Clone, Copy)]
 struct LayerFlags {
     sim: bool,
-    elab: bool,
     sessions: bool,
     golden: bool,
-    lint: bool,
 }
 
 impl LayerFlags {
     fn all_on() -> Self {
         LayerFlags {
             sim: true,
-            elab: true,
             sessions: true,
             golden: true,
-            lint: true,
         }
     }
 
     fn any_on(self) -> bool {
-        self.sim || self.elab || self.sessions || self.golden || self.lint
+        self.sim || self.sessions || self.golden
     }
 }
 
@@ -233,19 +228,13 @@ fn main() {
         "--no-cache" => {
             layers = LayerFlags {
                 sim: false,
-                elab: false,
                 sessions: false,
                 golden: false,
-                lint: false,
             };
             true
         }
         "--no-sim-cache" => {
             layers.sim = false;
-            true
-        }
-        "--no-elab-cache" => {
-            layers.elab = false;
             true
         }
         "--no-session-pool" => {
@@ -254,10 +243,6 @@ fn main() {
         }
         "--no-golden-cache" => {
             layers.golden = false;
-            true
-        }
-        "--no-lint-cache" => {
-            layers.lint = false;
             true
         }
         "--no-obs" => {
@@ -419,12 +404,10 @@ fn main() {
             plan.lint,
             if layers.any_on() {
                 format!(
-                    "sim:{} elab:{} pool:{} golden:{} lint:{}",
+                    "sim:{} pool:{} golden:{}",
                     if layers.sim { "on" } else { "off" },
-                    if layers.elab { "on" } else { "off" },
                     if layers.sessions { "on" } else { "off" },
                     if layers.golden { "on" } else { "off" },
-                    if layers.lint { "on" } else { "off" },
                 )
             } else {
                 "off".to_string()
@@ -460,17 +443,11 @@ fn main() {
     if !layers.sim {
         engine = engine.without_sim_cache();
     }
-    if !layers.elab {
-        engine = engine.without_elab_cache();
-    }
     if !layers.sessions {
         engine = engine.without_session_pool();
     }
     if !layers.golden {
         engine = engine.without_golden_cache();
-    }
-    if !layers.lint {
-        engine = engine.without_lint_cache();
     }
     // The publish path: as each executed job completes, its cell is
     // appended to the store — crash-safe incremental warming. Aborted

@@ -13,9 +13,7 @@ use crate::plan::RunPlan;
 use crate::worker::{run_job_guarded, TaskOutcome};
 use correctbench_llm::ClientFactory;
 use correctbench_obs::{Counter, ObsStack};
-use correctbench_tbgen::{
-    CacheStack, ElabCache, EvalContext, GoldenCache, LintCache, SimCache, StackStats,
-};
+use correctbench_tbgen::{CacheStack, EvalContext, GoldenCache, SimCache, StackStats};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -26,10 +24,9 @@ pub type OutcomeHook = Box<dyn Fn(&TaskOutcome) + Send + Sync>;
 
 /// Executes [`RunPlan`]s over a worker pool with one shared
 /// [`CacheStack`]: the simulation cache (whole testbench runs), the
-/// elaboration cache (compiled DUT + driver designs), the session pool
-/// (compiled checkers + reset-reusable evaluation sessions, leased
-/// across jobs) and the golden-artifact cache (per-problem evaluation
-/// fixtures, derived once per eval seed). Each worker thread installs
+/// session pool (compiled checkers + reset-reusable evaluation
+/// sessions, leased across jobs) and the golden-artifact cache
+/// (per-problem evaluation fixtures, derived once per eval seed). Each worker thread installs
 /// the stack once, under a single guard; layers can be disabled
 /// individually.
 pub struct Engine {
@@ -37,7 +34,6 @@ pub struct Engine {
     stack: CacheStack,
     obs: ObsStack,
     progress: bool,
-    one_shot: bool,
     faults: FaultPlan,
     /// Called once per *executed* (never replayed) outcome, from the
     /// worker that produced it — the persistent store's publish path.
@@ -57,7 +53,6 @@ impl Engine {
             stack: CacheStack::full(),
             obs: ObsStack::enabled(),
             progress: false,
-            one_shot: false,
             faults: FaultPlan::none(),
             outcome_hook: None,
             store_active: false,
@@ -107,9 +102,8 @@ impl Engine {
         self
     }
 
-    /// Disables every reuse layer (simulation cache, elaboration cache,
-    /// session pool, golden cache, lint cache) — the harness
-    /// `--no-cache` behavior.
+    /// Disables every reuse layer (simulation cache, session pool,
+    /// golden cache) — the harness `--no-cache` behavior.
     pub fn without_cache(mut self) -> Self {
         self.stack = CacheStack::empty();
         self
@@ -118,12 +112,6 @@ impl Engine {
     /// Disables only the simulation cache.
     pub fn without_sim_cache(mut self) -> Self {
         self.stack = self.stack.without_sim_cache();
-        self
-    }
-
-    /// Disables only the elaboration cache.
-    pub fn without_elab_cache(mut self) -> Self {
-        self.stack = self.stack.without_elab_cache();
         self
     }
 
@@ -136,13 +124,6 @@ impl Engine {
     /// Disables only the golden-artifact cache.
     pub fn without_golden_cache(mut self) -> Self {
         self.stack = self.stack.without_golden_cache();
-        self
-    }
-
-    /// Disables only the lint-report cache (the pass still runs when the
-    /// plan asks for it — every job just pays the analysis itself).
-    pub fn without_lint_cache(mut self) -> Self {
-        self.stack = self.stack.without_lint_cache();
         self
     }
 
@@ -166,29 +147,6 @@ impl Engine {
     pub fn without_obs(mut self) -> Self {
         self.obs = ObsStack::disabled();
         self
-    }
-
-    /// Forces the legacy one-shot evaluation path (fresh simulator per
-    /// run, interpreted judging) instead of session-batched execution.
-    /// The determinism suite runs plans both ways and pins artifact
-    /// equality; there is no reason to use this in production runs.
-    pub fn one_shot(mut self) -> Self {
-        self.one_shot = true;
-        self
-    }
-
-    /// The stack this run will actually install. The one-shot baseline
-    /// is documented as fresh-everything: leasing (and retaining)
-    /// compiled sessions it would never execute through would skew both
-    /// memory and the reported pool counters, so the pool is masked in
-    /// that mode. The data layers (sim, elab, golden) hold pure values
-    /// and stay on.
-    fn effective_stack(&self) -> CacheStack {
-        if self.one_shot {
-            self.stack.clone().without_session_pool()
-        } else {
-            self.stack.clone()
-        }
     }
 
     /// Runs every job of `plan`, returning outcomes in canonical job
@@ -245,10 +203,8 @@ impl Engine {
             .collect();
         let total = to_run.len();
         let done = AtomicUsize::new(0);
-        let stack = self.effective_stack();
-        let executed = parallel_map(self.threads, Some(&stack), &to_run, |_, job| {
+        let executed = parallel_map(self.threads, Some(&self.stack), &to_run, |_, job| {
             let job: &crate::plan::Job = job;
-            let _one_shot_guard = self.one_shot.then(correctbench_tbgen::force_one_shot);
             // One collector per job (not per worker): the worker drains
             // it at job end, so measurements are attributed to the job
             // that incurred them no matter which worker ran it.
@@ -301,10 +257,7 @@ impl Engine {
         RunResult {
             outcomes,
             threads: self.threads,
-            // Snapshot the stack that was installed: a one-shot run never
-            // used the pool, so it reports "disabled", not "on with
-            // zeros".
-            caches: stack.stats(),
+            caches: self.stack.stats(),
             store: None,
             wall: t0.elapsed(),
         }
@@ -320,11 +273,6 @@ impl Engine {
         self.stack.sim_cache()
     }
 
-    /// The engine's shared elaboration cache, if enabled.
-    pub fn elab_cache(&self) -> Option<&Arc<ElabCache>> {
-        self.stack.elab_cache()
-    }
-
     /// The engine's shared session pool, if enabled.
     pub fn session_pool(&self) -> Option<&Arc<EvalContext>> {
         self.stack.session_pool()
@@ -333,11 +281,6 @@ impl Engine {
     /// The engine's shared golden-artifact cache, if enabled.
     pub fn golden_cache(&self) -> Option<&Arc<GoldenCache>> {
         self.stack.golden_cache()
-    }
-
-    /// The engine's shared lint-report cache, if enabled.
-    pub fn lint_cache(&self) -> Option<&Arc<LintCache>> {
-        self.stack.lint_cache()
     }
 }
 
@@ -455,7 +398,6 @@ mod tests {
         let e = Engine::new(2).without_sim_cache().without_golden_cache();
         assert!(e.cache().is_none());
         assert!(e.golden_cache().is_none());
-        assert!(e.elab_cache().is_some());
         assert!(e.session_pool().is_some());
         let all_off = Engine::new(2).without_cache();
         assert!(all_off

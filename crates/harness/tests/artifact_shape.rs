@@ -1,5 +1,5 @@
 //! Golden-shape tests for the artifact schemas: the exact field set and
-//! ordering of `outcomes.jsonl`, `timings.jsonl` (v2) and `metrics.json`
+//! ordering of `outcomes.jsonl`, `timings.jsonl` (v3) and `metrics.json`
 //! are a contract — downstream joins and the offline report CLI depend
 //! on them — so schema drift must show up as a reviewed diff here, not
 //! as an accident.
@@ -69,10 +69,8 @@ fn timings_lines_pin_field_set_and_order() {
             "threads",
             "jobs",
             "sim_cache",
-            "elab_cache",
             "session_pool",
             "golden_cache",
-            "lint_cache",
             "outcome_store",
         ],
         "timings.jsonl run-line field drift"
@@ -110,8 +108,6 @@ fn timings_lines_pin_field_set_and_order() {
                 "judge_commits",
                 "sim_cache_hits",
                 "sim_cache_misses",
-                "elab_cache_hits",
-                "elab_cache_misses",
                 "pool_hits",
                 "pool_misses",
                 "golden_hits",
@@ -168,18 +164,11 @@ fn metrics_json_pins_field_set_and_order() {
     );
     assert_eq!(
         v.get("schema").and_then(Value::as_str),
-        Some("correctbench-metrics-v1")
+        Some("correctbench-metrics-v2")
     );
     assert_eq!(
         v.get("caches").expect("caches").keys(),
-        vec![
-            "sim_cache",
-            "elab_cache",
-            "session_pool",
-            "golden_cache",
-            "lint_cache",
-            "outcome_store"
-        ]
+        vec!["sim_cache", "session_pool", "golden_cache", "outcome_store"]
     );
     // The lint rollup is zero-filled over the whole rule taxonomy so
     // downstream joins never branch on key presence.

@@ -1,10 +1,12 @@
 //! `correctbench-run --help` documents every cache-layer flag.
 //!
-//! The per-layer switches (`--no-sim-cache`, `--no-elab-cache`,
-//! `--no-session-pool`, `--no-golden-cache`) and their `--no-cache`
-//! alias are part of the binary's contract — CI's cache-layer matrix
-//! and the README both lean on them — so the help text is pinned here
-//! by running the real binary.
+//! The per-layer switches (`--no-sim-cache`, `--no-session-pool`,
+//! `--no-golden-cache`) and their `--no-cache` alias are part of the
+//! binary's contract — CI's cache-layer matrix and the README both lean
+//! on them — so the help text is pinned here by running the real
+//! binary. The switches of the removed elaboration and lint-report
+//! caches are pinned as gone: absent from the help, rejected as usage
+//! errors.
 
 use std::process::Command;
 
@@ -27,14 +29,40 @@ fn help_lists_every_cache_layer_flag() {
     for flag in [
         "--no-cache",
         "--no-sim-cache",
-        "--no-elab-cache",
         "--no-session-pool",
         "--no-golden-cache",
-        "--no-lint-cache",
     ] {
         assert!(
             help.contains(flag),
             "--help output is missing `{flag}`:\n{help}"
+        );
+    }
+    for flag in removed_layer_flags() {
+        assert!(
+            !help.contains(&flag),
+            "--help output still lists removed `{flag}`:\n{help}"
+        );
+    }
+}
+
+/// Switches of the cache layers that no longer exist (the elaboration
+/// and lint-report caches).
+fn removed_layer_flags() -> [String; 2] {
+    ["elab", "lint"].map(|layer| format!("--no-{layer}-cache"))
+}
+
+#[test]
+fn removed_layer_flags_are_usage_errors() {
+    for flag in removed_layer_flags() {
+        let out = Command::new(env!("CARGO_BIN_EXE_correctbench-run"))
+            .args([flag.as_str(), "--problems", "1", "--reps", "1", "--quiet"])
+            .output()
+            .expect("run correctbench-run");
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "`{flag}` must exit 2 (usage error), got {:?}",
+            out.status
         );
     }
 }

@@ -1,9 +1,9 @@
 //! The harness's central contract: the JSONL artifact streams of a plan
 //! (`outcomes.jsonl` and `diagnostics.jsonl`) are **byte-identical**
 //! regardless of worker count, and independent of which [`CacheStack`]
-//! layers (simulation cache, elaboration cache, session pool,
-//! golden-artifact cache, lint-report cache) are enabled — caching is a
-//! pure memoization: it may change wall time, never results.
+//! layers (simulation cache, session pool, golden-artifact cache) are
+//! enabled — caching is a pure memoization: it may change wall time,
+//! never results.
 
 use correctbench_harness::{diagnostics_jsonl, outcomes_jsonl, Engine, LintMode, RunPlan};
 use correctbench_llm::{ModelKind, SimulatedClientFactory};
@@ -66,44 +66,8 @@ fn cache_is_semantically_transparent() {
 }
 
 #[test]
-fn elab_cache_is_semantically_transparent() {
-    // Isolate the elaboration layer: simulation cache on in both runs,
-    // elaboration cache toggled. A cached `Design` must simulate
-    // byte-identically to a freshly elaborated one.
-    let with_elab = artifact_with(Engine::new(4));
-    let without_elab = artifact_with(Engine::new(4).without_elab_cache());
-    assert!(
-        with_elab == without_elab,
-        "elaboration cache changed outcomes:\n--- cached ---\n{with_elab}\n--- uncached ---\n{without_elab}"
-    );
-}
-
-#[test]
-fn session_and_one_shot_paths_produce_byte_identical_jsonl() {
-    // The session API (reused simulator state, compiled checker judge)
-    // is a pure execution strategy: batching a sweep must never change
-    // what the sweep computes. Run the same plan session-batched and
-    // one-shot (fresh simulator per run, interpreted judging) and demand
-    // byte equality — with caches on and off, so no memo layer can paper
-    // over a divergence.
-    let session = artifact_with(Engine::new(4));
-    let one_shot = artifact_with(Engine::new(4).one_shot());
-    assert!(
-        session == one_shot,
-        "session-batched execution changed outcomes:\n--- session ---\n{session}\n--- one-shot ---\n{one_shot}"
-    );
-    let session_nc = artifact_with(Engine::new(4).without_cache());
-    let one_shot_nc = artifact_with(Engine::new(4).without_cache().one_shot());
-    assert!(
-        session_nc == one_shot_nc,
-        "session-batched execution changed uncached outcomes:\n--- session ---\n{session_nc}\n--- one-shot ---\n{one_shot_nc}"
-    );
-    assert!(session == session_nc, "cache setting changed outcomes");
-}
-
-#[test]
 fn session_pool_is_semantically_transparent() {
-    // Isolate the pool layer: both caches stay on, only the session
+    // Isolate the pool layer: the data caches stay on, only the session
     // pool is toggled. A pooled (warm) session — primed design memo,
     // already-compiled checker — must evaluate byte-identically to a
     // fresh one, whichever worker and job it lands on. Also pin the
@@ -156,19 +120,14 @@ fn diagnostics_with(engine: Engine, lint: LintMode) -> String {
 #[test]
 fn diagnostics_stream_is_byte_identical_across_threads_and_caches() {
     // The lint pass is pure, so diagnostics.jsonl shares outcomes.jsonl's
-    // determinism contract: byte-identical across worker counts, with the
-    // lint cache on or off, and with the whole stack stripped.
+    // determinism contract: byte-identical across worker counts and
+    // with the whole stack stripped.
     let two = diagnostics_with(Engine::new(2), LintMode::Warn);
     let four = diagnostics_with(Engine::new(4), LintMode::Warn);
     let eight = diagnostics_with(Engine::new(8), LintMode::Warn);
     assert!(
         two == four && four == eight,
         "diagnostics stream depends on thread count:\n--- 2 ---\n{two}\n--- 4 ---\n{four}\n--- 8 ---\n{eight}"
-    );
-    let no_lint_cache = diagnostics_with(Engine::new(4).without_lint_cache(), LintMode::Warn);
-    assert!(
-        four == no_lint_cache,
-        "lint cache changed diagnostics:\n--- cached ---\n{four}\n--- uncached ---\n{no_lint_cache}"
     );
     let stripped = diagnostics_with(Engine::new(4).without_cache(), LintMode::Warn);
     assert!(
@@ -201,20 +160,6 @@ fn lint_mode_does_not_change_outcomes_on_clean_rtl() {
     assert!(
         streams[0] == streams[1] && streams[1] == streams[2],
         "lint mode changed outcomes on clean RTL"
-    );
-}
-
-#[test]
-fn sweep_plan_shows_lint_cache_hits() {
-    // Every (method, rep) cell of a problem lints the same golden RTL +
-    // generated driver pair, so the fingerprint-keyed report cache must
-    // convert the repeats into hits.
-    let factory = SimulatedClientFactory::for_model(ModelKind::Gpt4o);
-    let result = Engine::new(1).execute(&plan(), &factory);
-    let stats = result.caches.lint.expect("lint cache enabled by default");
-    assert!(
-        stats.hits > 0,
-        "no lint-cache hits in a multi-rep sweep: {stats}"
     );
 }
 
@@ -252,21 +197,6 @@ fn sweep_plan_shows_session_pool_hits() {
     assert!(
         stats.hits > 0,
         "no session-pool hits in a multi-rep sweep: {stats}"
-    );
-}
-
-#[test]
-fn sweep_plan_shows_elab_cache_hits() {
-    // The RS matrix runs one driver against many RTLs and each pair
-    // simulates under several scenario replays; repeated (DUT, driver)
-    // pairs must hit the elaboration cache even when the simulation
-    // cache missed.
-    let factory = SimulatedClientFactory::for_model(ModelKind::Gpt4o);
-    let result = Engine::new(4).execute(&plan(), &factory);
-    let stats = result.caches.elab.expect("elab cache enabled by default");
-    assert!(
-        stats.hits > 0,
-        "no elaboration-cache hits in a multi-rep sweep: {stats}"
     );
 }
 

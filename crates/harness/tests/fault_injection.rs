@@ -98,7 +98,6 @@ fn binding_sim_budget_aborts_deterministically_across_threads_and_caches() {
         Engine::new(4),
         Engine::new(8),
         Engine::new(4).without_cache(),
-        Engine::new(4).one_shot(),
     ] {
         let other = stream(engine, &plan);
         assert!(
@@ -138,8 +137,8 @@ fn expired_deadline_aborts_with_deadline_exceeded() {
 #[test]
 fn aborted_jobs_never_poison_the_shared_cache_stack() {
     // First pass: every job dies on a binding simulation budget, with
-    // every reuse layer (sim cache, elab cache, session pool, golden
-    // cache) installed and shared. Second pass: the *same* stack runs
+    // every reuse layer (sim cache, session pool, golden cache)
+    // installed and shared. Second pass: the *same* stack runs
     // the plan cleanly. If any abort had published a poisoned entry —
     // a partial simulation, a half-built golden bundle, a mid-run
     // session checked back in — the reused stack would diverge from a

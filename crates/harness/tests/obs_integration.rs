@@ -7,6 +7,19 @@
 use correctbench_harness::{Engine, RunPlan};
 use correctbench_llm::{ModelKind, SimulatedClientFactory};
 use correctbench_obs::{Counter, Phase};
+use std::sync::{Mutex, MutexGuard};
+
+/// Serializes the tests of this file. Each runs a multi-threaded sweep;
+/// run concurrently on a small machine they oversubscribe the CPUs, and
+/// a preemption outside every span can leave a short job under half
+/// covered.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Holds [`SERIAL`] for one test (a failed test must not poison the
+/// others).
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn plan() -> RunPlan {
     let problems = ["and_8", "mux4_8", "counter_8"]
@@ -20,6 +33,7 @@ fn plan() -> RunPlan {
 
 #[test]
 fn every_job_carries_phase_times_that_sum_close_to_wall() {
+    let _serial = serial();
     let factory = SimulatedClientFactory::for_model(ModelKind::Gpt4o);
     let result = Engine::new(4).execute(&plan(), &factory);
     for o in &result.outcomes {
@@ -45,6 +59,7 @@ fn every_job_carries_phase_times_that_sum_close_to_wall() {
 
 #[test]
 fn work_counters_track_the_simulation() {
+    let _serial = serial();
     let factory = SimulatedClientFactory::for_model(ModelKind::Gpt4o);
     let result = Engine::new(2).execute(&plan(), &factory);
     let mut totals = correctbench_obs::JobObs::default();
@@ -100,6 +115,7 @@ fn work_counters_track_the_simulation() {
 
 #[test]
 fn disabled_obs_leaves_outcomes_unobserved() {
+    let _serial = serial();
     let factory = SimulatedClientFactory::for_model(ModelKind::Gpt4o);
     let result = Engine::new(2).without_obs().execute(&plan(), &factory);
     assert!(

@@ -107,10 +107,6 @@ pub enum Counter {
     SimCacheHits,
     /// Simulation-cache misses.
     SimCacheMisses,
-    /// Elaboration-cache hits.
-    ElabCacheHits,
-    /// Elaboration-cache misses.
-    ElabCacheMisses,
     /// Session-pool hits (warm lease).
     PoolHits,
     /// Session-pool misses (fresh session built).
@@ -133,7 +129,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters (array-index domain).
-    pub const COUNT: usize = 17;
+    pub const COUNT: usize = 15;
 
     /// Every counter, in canonical (artifact) order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -143,8 +139,6 @@ impl Counter {
         Counter::JudgeCommits,
         Counter::SimCacheHits,
         Counter::SimCacheMisses,
-        Counter::ElabCacheHits,
-        Counter::ElabCacheMisses,
         Counter::PoolHits,
         Counter::PoolMisses,
         Counter::GoldenHits,
@@ -165,8 +159,6 @@ impl Counter {
             Counter::JudgeCommits => "judge_commits",
             Counter::SimCacheHits => "sim_cache_hits",
             Counter::SimCacheMisses => "sim_cache_misses",
-            Counter::ElabCacheHits => "elab_cache_hits",
-            Counter::ElabCacheMisses => "elab_cache_misses",
             Counter::PoolHits => "pool_hits",
             Counter::PoolMisses => "pool_misses",
             Counter::GoldenHits => "golden_hits",

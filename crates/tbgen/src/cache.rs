@@ -16,10 +16,11 @@
 //! byte-identical to a recomputation and caching never changes results —
 //! only wall time.
 //!
-//! The cache is *installed* per worker thread (see [`SimCache::install`])
-//! rather than threaded through every call signature: the pipeline layers
-//! between the harness and the runner (`correctbench::validate`,
-//! `correctbench_autoeval::evaluate`) stay oblivious. One `Arc<SimCache>`
+//! The cache is *installed* per worker thread (through a
+//! [`CacheStack`](crate::CacheStack)) rather than threaded through every
+//! call signature: the pipeline layers between the harness and the
+//! runner (`correctbench::validate`, `correctbench_autoeval::evaluate`)
+//! stay oblivious. One `Arc<SimCache>`
 //! shared by all workers memoizes across jobs; threads synchronize only
 //! on short shard locks.
 
@@ -229,18 +230,6 @@ impl SimCache {
                 .sum(),
         }
     }
-
-    /// Makes `self` the active cache of the *current thread* until the
-    /// returned guard drops. [`crate::run_testbench_parsed`] consults the
-    /// active cache transparently; nesting restores the previous cache.
-    ///
-    /// A thin shim over [`CacheStack`](crate::CacheStack), which is the
-    /// preferred handle — it installs every layer under one guard.
-    pub fn install(self: &Arc<Self>) -> CacheGuard {
-        crate::CacheStack::empty()
-            .with_sim_cache(Arc::clone(self))
-            .install()
-    }
 }
 
 /// Runs `f` with the thread's active cache, if one is installed. Mostly
@@ -249,9 +238,6 @@ impl SimCache {
 pub fn with_active<R>(f: impl FnOnce(&SimCache) -> R) -> Option<R> {
     install::with_active(&install::SIM, f)
 }
-
-/// Re-activates the previous cache (usually none) when dropped.
-pub type CacheGuard = install::StackGuard;
 
 #[cfg(test)]
 mod tests {
@@ -323,7 +309,9 @@ mod tests {
             correctbench_checker::compile_module(&p.golden_module()).expect("golden checker");
 
         let cache = SimCache::new();
-        let _guard = cache.install();
+        let _guard = crate::CacheStack::empty()
+            .with_sim_cache(Arc::clone(&cache))
+            .install();
         let first =
             run_testbench_parsed(&dut, &driver, &checker, &p, &scenarios).expect("first run");
         let s1 = cache.stats();
@@ -357,10 +345,14 @@ mod tests {
         let inner = SimCache::new();
         assert!(with_active(|_| ()).is_none());
         {
-            let _g1 = outer.install();
+            let _g1 = crate::CacheStack::empty()
+                .with_sim_cache(Arc::clone(&outer))
+                .install();
             with_active(|c| c.put(key(7), dummy_run())).expect("outer active");
             {
-                let _g2 = inner.install();
+                let _g2 = crate::CacheStack::empty()
+                    .with_sim_cache(Arc::clone(&inner))
+                    .install();
                 // A different cache is active: the outer entry is invisible.
                 assert!(!with_active(|c| c.get(&key(7)).is_some()).expect("inner active"));
             }

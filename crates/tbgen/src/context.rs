@@ -9,13 +9,14 @@
 //! boundaries: a bounded, sharded pool of reset-reusable sessions keyed
 //! on the `(module interface, checker)` fingerprint pair.
 //!
-//! Mirroring the two cache layers ([`SimCache`](crate::SimCache),
-//! [`ElabCache`](crate::ElabCache)), the context is *installed* per
-//! worker thread ([`EvalContext::install`]) so the pipeline layers
-//! between the harness and the evaluators stay oblivious; evaluators
-//! call [`acquire_session`], which leases a pooled session when one is
-//! available and builds a fresh one otherwise (also the no-context
-//! behavior, so library users without a harness see no change).
+//! Mirroring the data layers ([`SimCache`](crate::SimCache),
+//! [`GoldenCache`](crate::GoldenCache)), the context is *installed* per
+//! worker thread through a [`CacheStack`](crate::CacheStack) so the
+//! pipeline layers between the harness and the evaluators stay
+//! oblivious; evaluators call [`acquire_session`], which leases a
+//! pooled session when one is available and builds a fresh one
+//! otherwise (also the no-context behavior, so library users without a
+//! harness see no change).
 //!
 //! Leases are **exclusive**: `acquire_session` checks the session *out*
 //! of the pool, so two workers evaluating the same `(problem, checker)`
@@ -144,27 +145,12 @@ impl EvalContext {
                 .sum(),
         }
     }
-
-    /// Makes `self` the active context of the *current thread* until the
-    /// returned guard drops. [`acquire_session`] consults the active
-    /// context transparently; nesting restores the previous context.
-    ///
-    /// A thin shim over [`CacheStack`](crate::CacheStack), which is the
-    /// preferred handle — it installs every layer under one guard.
-    pub fn install(self: &Arc<Self>) -> ContextGuard {
-        crate::CacheStack::empty()
-            .with_session_pool(Arc::clone(self))
-            .install()
-    }
 }
 
 /// Runs `f` with the thread's active context, if one is installed.
 pub fn with_active<R>(f: impl FnOnce(&EvalContext) -> R) -> Option<R> {
     install::with_active(&install::POOL, f)
 }
-
-/// Re-activates the previous context (usually none) when dropped.
-pub type ContextGuard = install::StackGuard;
 
 /// An exclusive lease on an evaluation session. Derefs to
 /// [`EvalSession`]; dropping it returns a pooled session to the
@@ -277,6 +263,12 @@ mod tests {
     use correctbench_checker::compile_module;
     use correctbench_verilog::parse;
 
+    fn install(ctx: &Arc<EvalContext>) -> crate::StackGuard {
+        crate::CacheStack::empty()
+            .with_session_pool(Arc::clone(ctx))
+            .install()
+    }
+
     fn setup(name: &str) -> (Problem, CheckerProgram) {
         let p = correctbench_dataset::problem(name).expect("problem");
         let checker = compile_module(&p.golden_module()).expect("checker");
@@ -294,7 +286,7 @@ mod tests {
     fn pool_hits_on_reacquire_and_counts() {
         let (p, checker) = setup("and_8");
         let ctx = EvalContext::new();
-        let _guard = ctx.install();
+        let _guard = install(&ctx);
         {
             let _lease = acquire_session(&p, &checker).expect("session");
             // Checked out: not parked, and a concurrent acquire of the
@@ -324,7 +316,7 @@ mod tests {
             .run(&dut, &driver, &scen)
             .expect("cold run");
         let ctx = EvalContext::new();
-        let _guard = ctx.install();
+        let _guard = install(&ctx);
         for _ in 0..3 {
             let mut lease = acquire_session(&p, &checker).expect("lease");
             let warm = lease.run(&dut, &driver, &scen).expect("warm run");
@@ -343,7 +335,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         assert!(!correctbench_checker::mutate_ir(&mut mutated, &mut rng, 2).is_empty());
         let ctx = EvalContext::new();
-        let _guard = ctx.install();
+        let _guard = install(&ctx);
         drop(acquire_session(&p, &checker).expect("a"));
         drop(acquire_session(&p, &mutated).expect("b"));
         let s = ctx.stats();
@@ -383,10 +375,10 @@ mod tests {
         let inner = EvalContext::new();
         assert!(with_active(|_| ()).is_none());
         {
-            let _g1 = outer.install();
+            let _g1 = install(&outer);
             assert!(with_active(|_| ()).is_some());
             {
-                let _g2 = inner.install();
+                let _g2 = install(&inner);
                 with_active(|c| c.hits.fetch_add(1, Ordering::Relaxed)).expect("inner active");
             }
             assert_eq!(outer.stats().hits, 0, "outer untouched while inner active");

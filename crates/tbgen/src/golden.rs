@@ -185,16 +185,6 @@ impl GoldenCache {
                 .sum(),
         }
     }
-
-    /// Makes `self` the active golden cache of the *current thread* until
-    /// the returned guard drops — a thin shim over
-    /// [`CacheStack`](crate::CacheStack), which is the preferred way to
-    /// install a full layer set.
-    pub fn install(self: &Arc<Self>) -> GoldenCacheGuard {
-        crate::CacheStack::empty()
-            .with_golden_cache(Arc::clone(self))
-            .install()
-    }
 }
 
 /// Runs `f` with the thread's active golden cache, if one is installed.
@@ -208,9 +198,6 @@ pub fn active() -> Option<Arc<GoldenCache>> {
     install::active(&install::GOLDEN)
 }
 
-/// Re-activates the previous cache (usually none) when dropped.
-pub type GoldenCacheGuard = crate::install::StackGuard;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,6 +205,12 @@ mod tests {
     use crate::scenarios::generate_scenarios;
     use correctbench_checker::compile_module;
     use correctbench_verilog::parse;
+
+    fn install(cache: &Arc<GoldenCache>) -> crate::StackGuard {
+        crate::CacheStack::empty()
+            .with_golden_cache(Arc::clone(cache))
+            .install()
+    }
 
     fn bundle(name: &str, seed: u64) -> Arc<GoldenArtifacts> {
         let p = correctbench_dataset::problem(name).expect("problem");
@@ -298,10 +291,10 @@ mod tests {
         let inner = GoldenCache::new();
         assert!(with_active(|_| ()).is_none());
         {
-            let _g1 = outer.install();
+            let _g1 = install(&outer);
             with_active(|c| c.put(key(7), bundle("and_8", 7))).expect("outer active");
             {
-                let _g2 = inner.install();
+                let _g2 = install(&inner);
                 assert!(!with_active(|c| c.get(&key(7)).is_some()).expect("inner active"));
             }
             assert!(with_active(|c| c.get(&key(7)).is_some()).expect("outer restored"));

@@ -1,21 +1,20 @@
 //! Thread-local installation and the unified [`CacheStack`] handle.
 //!
-//! The per-worker reuse layers — the simulation cache, the elaboration
-//! cache, the session pool and the golden-artifact cache — all follow
-//! one pattern: a shared `Arc` is *installed* on the current thread so
-//! the layers between the harness and the runner stay oblivious,
-//! lookups consult the active instance transparently, and a guard
-//! restores the previous instance (usually none) on drop — so installs
-//! nest. This module owns **every** thread-local slot (the source-scan
-//! test `tests/key_path_scan.rs` forbids cache slots anywhere else) and
-//! the [`CacheStack`]: the explicit, shareable bundle of all four
-//! layers that a harness installs once per worker with a single guard.
+//! The per-worker reuse layers — the simulation cache, the session pool
+//! and the golden-artifact cache — all follow one pattern: a shared
+//! `Arc` is *installed* on the current thread so the layers between the
+//! harness and the runner stay oblivious, lookups consult the active
+//! instance transparently, and a guard restores the previous instance
+//! (usually none) on drop — so installs nest. This module owns **every**
+//! thread-local slot (the source-scan test `tests/key_path_scan.rs`
+//! forbids cache slots anywhere else) and the [`CacheStack`]: the
+//! explicit, shareable bundle of all three layers that a harness
+//! installs once per worker with a single guard. It is the only way to
+//! install a layer.
 
 use crate::cache::{CacheStats, SimCache};
 use crate::context::EvalContext;
-use crate::elab::ElabCache;
 use crate::golden::GoldenCache;
-use crate::lintcache::LintCache;
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 use std::thread::LocalKey;
@@ -27,21 +26,12 @@ thread_local! {
     /// The active simulation cache (consulted by the runner and
     /// [`crate::EvalSession::run`]).
     pub(crate) static SIM: RefCell<Option<Arc<SimCache>>> = const { RefCell::new(None) };
-    /// The active elaboration cache (consulted by `design_for`).
-    pub(crate) static ELAB: RefCell<Option<Arc<ElabCache>>> = const { RefCell::new(None) };
     /// The active session pool (consulted by
     /// [`crate::acquire_session`]).
     pub(crate) static POOL: RefCell<Option<Arc<EvalContext>>> = const { RefCell::new(None) };
     /// The active golden-artifact cache (consulted by
     /// `correctbench_autoeval::golden_artifacts`).
     pub(crate) static GOLDEN: RefCell<Option<Arc<GoldenCache>>> = const { RefCell::new(None) };
-    /// The active lint-report cache (consulted by
-    /// [`crate::lint_cached`]).
-    pub(crate) static LINT: RefCell<Option<Arc<LintCache>>> = const { RefCell::new(None) };
-    /// The one-shot escape hatch (see [`crate::force_one_shot`]) — not a
-    /// cache slot, but thread-local session state lives here with the
-    /// rest of the install machinery.
-    pub(crate) static ONE_SHOT: Cell<bool> = const { Cell::new(false) };
     /// The active per-job execution budget (see [`JobBudget`]) —
     /// consulted by every simulation entry point to clamp
     /// [`correctbench_verilog::sim::SimLimits`].
@@ -148,10 +138,8 @@ impl<T> Drop for InstallGuard<T> {
 /// | layer | type | memoizes |
 /// |---|---|---|
 /// | simulation cache | [`SimCache`] | whole testbench runs |
-/// | elaboration cache | [`ElabCache`] | elaborated (DUT, driver) designs |
 /// | session pool | [`EvalContext`] | leased evaluation sessions |
 /// | golden cache | [`GoldenCache`] | per-problem golden artifacts |
-/// | lint cache | [`LintCache`] | static-analysis reports per source |
 ///
 /// A `CacheStack` is the *handle* a harness holds and shares: build one
 /// ([`CacheStack::full`] or [`CacheStack::empty`] plus the `with_*` /
@@ -167,7 +155,7 @@ impl<T> Drop for InstallGuard<T> {
 ///
 /// let stack = CacheStack::full().without_golden_cache();
 /// let _guard = stack.install();
-/// // Runner calls on this thread now consult the sim/elab caches and
+/// // Runner calls on this thread now consult the simulation cache and
 /// // lease sessions from the pool; the guard restores the previous
 /// // (usually empty) layers on drop.
 /// assert!(stack.stats().golden.is_none());
@@ -175,21 +163,17 @@ impl<T> Drop for InstallGuard<T> {
 #[derive(Clone, Default)]
 pub struct CacheStack {
     sim: Option<Arc<SimCache>>,
-    elab: Option<Arc<ElabCache>>,
     sessions: Option<Arc<EvalContext>>,
     golden: Option<Arc<GoldenCache>>,
-    lint: Option<Arc<LintCache>>,
 }
 
 impl CacheStack {
-    /// A stack with all five layers enabled and fresh.
+    /// A stack with all three layers enabled and fresh.
     pub fn full() -> CacheStack {
         CacheStack {
             sim: Some(SimCache::new()),
-            elab: Some(ElabCache::new()),
             sessions: Some(EvalContext::new()),
             golden: Some(GoldenCache::new()),
-            lint: Some(LintCache::new()),
         }
     }
 
@@ -206,12 +190,6 @@ impl CacheStack {
         self
     }
 
-    /// Replaces the elaboration-cache layer.
-    pub fn with_elab_cache(mut self, cache: Arc<ElabCache>) -> Self {
-        self.elab = Some(cache);
-        self
-    }
-
     /// Replaces the session-pool layer.
     pub fn with_session_pool(mut self, pool: Arc<EvalContext>) -> Self {
         self.sessions = Some(pool);
@@ -224,21 +202,9 @@ impl CacheStack {
         self
     }
 
-    /// Replaces the lint-report-cache layer.
-    pub fn with_lint_cache(mut self, cache: Arc<LintCache>) -> Self {
-        self.lint = Some(cache);
-        self
-    }
-
     /// Disables the simulation-cache layer.
     pub fn without_sim_cache(mut self) -> Self {
         self.sim = None;
-        self
-    }
-
-    /// Disables the elaboration-cache layer.
-    pub fn without_elab_cache(mut self) -> Self {
-        self.elab = None;
         self
     }
 
@@ -254,20 +220,9 @@ impl CacheStack {
         self
     }
 
-    /// Disables the lint-report-cache layer.
-    pub fn without_lint_cache(mut self) -> Self {
-        self.lint = None;
-        self
-    }
-
     /// The simulation-cache layer, if enabled.
     pub fn sim_cache(&self) -> Option<&Arc<SimCache>> {
         self.sim.as_ref()
-    }
-
-    /// The elaboration-cache layer, if enabled.
-    pub fn elab_cache(&self) -> Option<&Arc<ElabCache>> {
-        self.elab.as_ref()
     }
 
     /// The session-pool layer, if enabled.
@@ -280,11 +235,6 @@ impl CacheStack {
         self.golden.as_ref()
     }
 
-    /// The lint-report-cache layer, if enabled.
-    pub fn lint_cache(&self) -> Option<&Arc<LintCache>> {
-        self.lint.as_ref()
-    }
-
     /// Makes every enabled layer the active instance of its slot on the
     /// *current thread* until the returned guard drops. Disabled layers
     /// leave their slots untouched, so a partial stack can be nested
@@ -292,10 +242,8 @@ impl CacheStack {
     /// slots). One guard restores all of them, in reverse order.
     pub fn install(&self) -> StackGuard {
         StackGuard {
-            _lint: self.lint.as_ref().map(|c| install(&LINT, c)),
             _golden: self.golden.as_ref().map(|c| install(&GOLDEN, c)),
             _sessions: self.sessions.as_ref().map(|c| install(&POOL, c)),
-            _elab: self.elab.as_ref().map(|c| install(&ELAB, c)),
             _sim: self.sim.as_ref().map(|c| install(&SIM, c)),
         }
     }
@@ -304,10 +252,9 @@ impl CacheStack {
     pub fn stats(&self) -> StackStats {
         StackStats {
             sim: self.sim.as_ref().map(|c| c.stats()),
-            elab: self.elab.as_ref().map(|c| c.stats()),
             sessions: self.sessions.as_ref().map(|c| c.stats()),
             golden: self.golden.as_ref().map(|c| c.stats()),
-            lint: self.lint.as_ref().map(|c| c.stats()),
+            ..StackStats::default()
         }
     }
 }
@@ -316,27 +263,27 @@ impl CacheStack {
 /// [`CacheStack::install`] replaced (field drop order is declaration
 /// order, the reverse of installation).
 pub struct StackGuard {
-    _lint: Option<InstallGuard<LintCache>>,
     _golden: Option<InstallGuard<GoldenCache>>,
     _sessions: Option<InstallGuard<EvalContext>>,
-    _elab: Option<InstallGuard<ElabCache>>,
     _sim: Option<InstallGuard<SimCache>>,
 }
 
 /// Aggregated per-layer counters of one [`CacheStack`] — `None` marks a
 /// disabled layer. This is the unified shape harnesses report: each
-/// layer keeps its own [`CacheStats`], the stack snapshots all five.
+/// layer keeps its own [`CacheStats`], the stack snapshots all three.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct StackStats {
     /// Simulation-cache counters, when the layer is enabled.
     pub sim: Option<CacheStats>,
-    /// Elaboration-cache counters, when the layer is enabled.
+    /// Retired: the elaboration cache was removed. Always `None`; kept
+    /// so existing readers of the field still build.
     pub elab: Option<CacheStats>,
     /// Session-pool counters, when the layer is enabled.
     pub sessions: Option<CacheStats>,
     /// Golden-artifact-cache counters, when the layer is enabled.
     pub golden: Option<CacheStats>,
-    /// Lint-report-cache counters, when the layer is enabled.
+    /// Retired: the lint-report cache was removed. Always `None`; kept
+    /// so existing readers of the field still build.
     pub lint: Option<CacheStats>,
 }
 
@@ -344,13 +291,11 @@ impl StackStats {
     /// The layers in canonical order with their display labels — the
     /// single definition reports and artifacts iterate so layer naming
     /// cannot drift between `summary.txt` and `timings.jsonl`.
-    pub fn layers(&self) -> [(&'static str, Option<CacheStats>); 5] {
+    pub fn layers(&self) -> [(&'static str, Option<CacheStats>); 3] {
         [
             ("simulation cache", self.sim),
-            ("elaboration cache", self.elab),
             ("session pool", self.sessions),
             ("golden cache", self.golden),
-            ("lint cache", self.lint),
         ]
     }
 }
@@ -383,16 +328,12 @@ mod tests {
         {
             let _guard = stack.install();
             assert!(crate::cache::with_active(|_| ()).is_some());
-            assert!(crate::elab::with_active(|_| ()).is_some());
             assert!(crate::context::with_active(|_| ()).is_some());
             assert!(crate::golden::with_active(|_| ()).is_some());
-            assert!(crate::lintcache::with_active(|_| ()).is_some());
         }
         assert!(crate::cache::with_active(|_| ()).is_none());
-        assert!(crate::elab::with_active(|_| ()).is_none());
         assert!(crate::context::with_active(|_| ()).is_none());
         assert!(crate::golden::with_active(|_| ()).is_none());
-        assert!(crate::lintcache::with_active(|_| ()).is_none());
     }
 
     #[test]
@@ -423,8 +364,8 @@ mod tests {
         let stats = stack.stats();
         assert!(stats.sim.is_none());
         assert!(stats.sessions.is_none());
-        assert_eq!(stats.elab, Some(CacheStats::default()));
         assert_eq!(stats.golden, Some(CacheStats::default()));
+        assert!(stats.elab.is_none() && stats.lint.is_none(), "retired");
         let rendered = stats.to_string();
         assert!(rendered.contains("simulation cache: disabled"));
         assert!(rendered.contains("golden cache: 0 hits"));

@@ -32,10 +32,8 @@ pub mod cache;
 pub mod context;
 pub mod coverage;
 pub mod driver;
-pub mod elab;
 pub mod golden;
 mod install;
-pub mod lintcache;
 pub mod record;
 pub mod runner;
 pub mod scenarios;
@@ -46,12 +44,10 @@ pub use cache::{module_interface_fingerprint, CacheKey, CacheStats, SimCache};
 pub use context::{acquire_session, EvalContext, PoolKey, SessionLease};
 pub use coverage::{CoverageReport, SignalCoverage};
 pub use driver::{generate_driver, record_format, TB_MODULE};
-pub use elab::{ElabCache, ElabKey};
 pub use golden::{problem_fingerprint, GoldenArtifacts, GoldenCache, GoldenKey};
 pub use install::{
     active_budget, install_budget, BudgetGuard, CacheStack, JobBudget, StackGuard, StackStats,
 };
-pub use lintcache::{lint_cached, LintCache};
 pub use record::{parse_record, parse_records, FieldValue, Record, RecordBinding};
 pub use runner::{
     elaborate_pair, judge_records, limits_for, run_testbench, run_testbench_parsed,
@@ -59,4 +55,4 @@ pub use runner::{
     TbRun,
 };
 pub use scenarios::{generate_scenarios, Scenario, ScenarioSet, Stimulus};
-pub use session::{force_one_shot, EvalSession, OneShotGuard};
+pub use session::EvalSession;

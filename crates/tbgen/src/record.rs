@@ -58,7 +58,7 @@ impl Record {
 /// [`Record::field`]'s resolution, amortized to one hash lookup per
 /// printed field instead of one linear scan per `(signal, record)`
 /// pair. The table is rebuilt from scratch for every record, so a
-/// long-lived session and a fresh one-shot judge resolve any stream
+/// long-lived session and a fresh interpreted judge resolve any stream
 /// identically (including malformed streams with duplicated or
 /// reordered fields).
 #[derive(Clone, Debug, Default)]

@@ -15,7 +15,6 @@ use correctbench_verilog::{
 };
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
 
 /// Per-scenario outcome of a testbench run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -118,11 +117,6 @@ pub fn simulate_records_parsed(
 /// runs bound `max_time` to the driver's stimulus schedule so a corrupted
 /// driver that lost its `$finish` cannot burn the full default horizon.
 ///
-/// When an [`crate::ElabCache`] is installed on the current thread (see
-/// [`crate::ElabCache::install`]), the combine-elaborate step is
-/// memoized under the structural hashes of the two sources; repeated
-/// pairs reuse the shared [`Design`] and only simulate.
-///
 /// # Errors
 ///
 /// Elaboration or simulation failure of the combined design.
@@ -131,7 +125,7 @@ pub fn simulate_records_limited(
     driver: &correctbench_verilog::ast::SourceFile,
     limits: SimLimits,
 ) -> Result<(Vec<Record>, u64), TbError> {
-    let design = design_for(dut, driver)?;
+    let design = elaborate_pair(dut, driver)?;
     let (limits, binding) = budgeted_limits(limits);
     let out = Simulator::with_limits(&design, limits)
         .run()
@@ -174,24 +168,6 @@ pub(crate) fn classify_sim_err(err: SimError, binding: bool) -> VerilogError {
         }
         e => VerilogError::Sim(e),
     }
-}
-
-/// The elaborated combination of DUT and driver, through the thread's
-/// elaboration cache when one is installed.
-pub(crate) fn design_for(
-    dut: &correctbench_verilog::ast::SourceFile,
-    driver: &correctbench_verilog::ast::SourceFile,
-) -> Result<Arc<Design>, TbError> {
-    let key = crate::elab::with_active(|_| crate::elab::ElabKey::for_pair(dut, driver));
-    if let Some(key) = key {
-        if let Some(hit) = crate::elab::with_active(|c| c.get(&key)).flatten() {
-            return Ok(hit);
-        }
-        let design = Arc::new(elaborate_pair(dut, driver)?);
-        crate::elab::with_active(|c| c.put(key, Arc::clone(&design)));
-        return Ok(design);
-    }
-    Ok(Arc::new(elaborate_pair(dut, driver)?))
 }
 
 /// Combines a DUT with a driver, elaborates the pair under
@@ -252,7 +228,7 @@ pub fn run_testbench(
 /// [`run_testbench`] over already-parsed sources.
 ///
 /// When a [`crate::SimCache`] is installed on the current thread (see
-/// [`crate::SimCache::install`]), the run is memoized under the content
+/// [`crate::CacheStack::install`]), the run is memoized under the content
 /// address of `(dut, driver, checker, problem ports, scenarios)`: a
 /// repeated key returns the stored result without simulating. A run is a
 /// pure function of that key, so cached and fresh results are identical.
@@ -284,26 +260,6 @@ pub fn run_testbench_parsed(
     run_testbench_uncached(dut, driver, checker, problem, scenarios, None)
 }
 
-/// The legacy fresh-everything run: new simulator, interpreted judging.
-/// Still the semantic reference — [`crate::session::force_one_shot`]
-/// routes whole plans through it so the determinism suite can pin
-/// session/one-shot artifact equality.
-pub(crate) fn run_testbench_one_shot(
-    dut: &correctbench_verilog::ast::SourceFile,
-    driver: &correctbench_verilog::ast::SourceFile,
-    checker: &CheckerProgram,
-    problem: &Problem,
-    scenarios: &ScenarioSet,
-) -> Result<TbRun, TbError> {
-    let (records, end_time) = simulate_records_limited(dut, driver, limits_for(scenarios))?;
-    let results = judge_records(&records, checker, problem, scenarios.len())?;
-    Ok(TbRun {
-        results,
-        records,
-        end_time,
-    })
-}
-
 fn run_testbench_uncached(
     dut: &correctbench_verilog::ast::SourceFile,
     driver: &correctbench_verilog::ast::SourceFile,
@@ -315,11 +271,8 @@ fn run_testbench_uncached(
         correctbench_verilog::Fingerprint,
     )>,
 ) -> Result<TbRun, TbError> {
-    if crate::session::one_shot_active() {
-        return run_testbench_one_shot(dut, driver, checker, problem, scenarios);
-    }
     // A leased session: same execution engine as the batch paths, so
-    // one-shot callers and sweeps produce identical artifacts by
+    // single-run callers and sweeps produce identical artifacts by
     // construction. Under an installed `EvalContext` even these
     // wrapper calls reuse a pooled compiled checker; without one the
     // lease owns a throwaway session, exactly the old behavior.
@@ -373,17 +326,6 @@ pub fn judge_records(
     problem: &Problem,
     num_scenarios: usize,
 ) -> Result<Vec<ScenarioResult>, TbError> {
-    judge_records_with_ports(records, checker, &problem.ports, num_scenarios)
-}
-
-/// [`judge_records`] against a bare port list (all it reads from the
-/// problem).
-pub(crate) fn judge_records_with_ports(
-    records: &[Record],
-    checker: &CheckerProgram,
-    ports: &[correctbench_dataset::PortSpec],
-    num_scenarios: usize,
-) -> Result<Vec<ScenarioResult>, TbError> {
     let _span = correctbench_obs::span(correctbench_obs::Phase::Judge);
     let mut state = CheckerState::new(checker);
     let mut seen = vec![false; num_scenarios];
@@ -395,7 +337,7 @@ pub(crate) fn judge_records_with_ports(
     // (first occurrence, exactly like `Record::field`) instead of one
     // linear name search per signal per record.
     let mut binding = crate::record::RecordBinding::default();
-    let in_binds = bind_inputs(&mut binding, checker, ports);
+    let in_binds = bind_inputs(&mut binding, checker, &problem.ports);
     let out_slots: Vec<usize> = checker
         .outputs
         .iter()

@@ -3,10 +3,11 @@
 //! Every experiment in the reproduction bottoms out in *sweeps* — the
 //! validator's RS matrix runs one driver against a whole RTL group,
 //! Eval2 replays one testbench against ten mutants, repetition sweeps
-//! re-run near-identical pairs — yet the one-shot entry points
-//! ([`crate::run_testbench_parsed`] and friends) rebuild everything per
-//! run: a fresh [`Simulator`] value table, a fresh judging pass that
-//! re-interprets the checker IR with name-keyed maps.
+//! re-run near-identical pairs. Rebuilding everything per run would
+//! mean a fresh [`Simulator`] value table and a fresh judging pass that
+//! re-interprets the checker IR with name-keyed maps
+//! ([`crate::simulate_records_limited`] plus [`crate::judge_records`],
+//! the fresh-everything reference the session tests compare against).
 //!
 //! An [`EvalSession`] is the amortized form. It is pinned to one
 //! `(problem, checker)` pair and owns, across arbitrarily many runs:
@@ -15,23 +16,23 @@
 //!   bytecode once, stepped positionally ever after;
 //! * the **record bindings** — `(checker input → record field, port
 //!   width)` resolved to indices once, not string-searched per record;
+//! * the **last-pair design memo** — the elaborated [`Design`] of the
+//!   most recent (DUT, driver) pair, the only design reuse in the
+//!   crate: a repeated pair skips combine + elaborate;
 //! * the **simulator** — kept while consecutive runs execute the same
-//!   elaborated [`Design`] (by `Arc` identity, which the
-//!   [`ElabCache`](crate::ElabCache) makes common) and rewound with
-//!   [`Simulator::reset`] instead of reconstructed;
+//!   elaborated [`Design`] (by `Arc` identity, which the memo provides)
+//!   and rewound with [`Simulator::reset`] instead of reconstructed;
 //! * the **judging buffers** (per-scenario flags, positional inputs).
 //!
-//! Both cache layers keep working: [`EvalSession::run`] consults the
-//! thread's [`SimCache`](crate::SimCache) under the same content key as
-//! the one-shot path and elaborates through the thread's
-//! [`ElabCache`](crate::ElabCache). Results are byte-identical to the
-//! one-shot path (the harness determinism suite pins session vs one-shot
-//! artifact equality), so the free functions are now thin wrappers over
-//! a throwaway session.
+//! [`EvalSession::run`] consults the thread's
+//! [`SimCache`](crate::SimCache) under the same content key as
+//! [`crate::run_testbench_parsed`], which is itself a thin wrapper over
+//! a leased session, so both entry points share one memo table and one
+//! execution engine.
 
 use crate::cache::{module_interface_fingerprint, CacheKey};
 use crate::record::{parse_records, Record, RecordBinding};
-use crate::runner::{design_for, limits_for, ScenarioResult, TbError, TbRun};
+use crate::runner::{elaborate_pair, limits_for, ScenarioResult, TbError, TbRun};
 use crate::scenarios::ScenarioSet;
 use correctbench_checker::{CheckerProgram, JudgeSession};
 use correctbench_dataset::Problem;
@@ -64,17 +65,11 @@ use std::sync::Arc;
 /// # }
 /// ```
 pub struct EvalSession {
-    /// The checker IR (the one-shot fallback interprets it directly).
-    checker: CheckerProgram,
     /// [`CacheKey`] components fixed for the session, computed once in
     /// [`EvalSession::new`] — visitor fingerprints are cheap enough to
     /// take eagerly, and the session pool needs them as its key anyway.
     checker_fp: Fingerprint,
     problem_fp: Fingerprint,
-    /// The one piece of the problem judging still reads per record —
-    /// a session does not hold the spec, name or golden RTL (the
-    /// problem's identity lives in `problem_fp`).
-    ports: Vec<correctbench_dataset::PortSpec>,
     judge: JudgeSession,
     /// Record-field resolution for the checker's inputs and outputs,
     /// re-indexed per record (first-occurrence semantics, exactly like
@@ -91,14 +86,11 @@ pub struct EvalSession {
     failed: Vec<bool>,
     /// Kept while consecutive runs share an elaborated design.
     sim: Option<Simulator<'static>>,
-    /// The session's own level-0 design memo: fingerprints of the last
-    /// (DUT, driver) pair and its elaborated design. Repeated pairs — the
-    /// defining shape of a sweep — reuse the simulator even when no
-    /// thread-wide [`ElabCache`](crate::ElabCache) is installed. Keyed
-    /// on [`SourceFile::fingerprint`]: the caller's files cache their
-    /// own fingerprint, so a repeated probe is two u64 compares — the
-    /// AST-equality walk (and the source clones it required) existed
-    /// only to dodge the old Debug-render hashing cost.
+    /// The last-pair design memo: fingerprints of the last (DUT, driver)
+    /// pair and its elaborated design. Repeated pairs — the defining
+    /// shape of a sweep — reuse the design and the simulator. Keyed on
+    /// [`SourceFile::fingerprint`]: the caller's files cache their own
+    /// fingerprint, so a repeated probe is two u64 compares.
     last_dut: Option<Fingerprint>,
     last_driver: Option<Fingerprint>,
     last_design: Option<Arc<Design>>,
@@ -143,10 +135,8 @@ impl EvalSession {
             .map(|(_, w)| LogicVec::filled_x((*w).max(1)))
             .collect();
         Ok(EvalSession {
-            checker: checker.clone(),
             checker_fp,
             problem_fp,
-            ports: problem.ports.clone(),
             judge,
             binding,
             input_slots,
@@ -161,11 +151,10 @@ impl EvalSession {
         })
     }
 
-    /// The elaborated pair: session memo first, then the thread's
-    /// elaboration cache (via [`design_for`], which hashes only when a
-    /// cache is installed), then a fresh elaboration. Elaboration is a
-    /// pure function of the two sources, so an equality hit is
-    /// semantically identical to re-elaborating.
+    /// The elaborated pair: the last-pair memo when the fingerprints
+    /// match, a fresh elaboration otherwise. Elaboration is a pure
+    /// function of the two sources, so a memo hit is semantically
+    /// identical to re-elaborating.
     fn design(&mut self, dut: &SourceFile, driver: &SourceFile) -> Result<Arc<Design>, TbError> {
         let dut_fp = dut.fingerprint();
         let driver_fp = driver.fingerprint();
@@ -174,7 +163,7 @@ impl EvalSession {
                 return Ok(Arc::clone(design));
             }
         }
-        let design = design_for(dut, driver)?;
+        let design = Arc::new(elaborate_pair(dut, driver)?);
         self.last_dut = Some(dut_fp);
         self.last_driver = Some(driver_fp);
         self.last_design = Some(Arc::clone(&design));
@@ -184,7 +173,7 @@ impl EvalSession {
     /// Runs the hybrid testbench against one DUT — the session
     /// counterpart of [`crate::run_testbench_parsed`], byte-identical
     /// results included. Consults the thread's simulation cache first and
-    /// stores misses back, so batched and one-shot execution share one
+    /// stores misses back, so batched and single-run callers share one
     /// memo table.
     ///
     /// # Errors
@@ -242,30 +231,13 @@ impl EvalSession {
     }
 
     /// The uncached run: simulate (session simulator) and judge (compiled
-    /// checker). The one-shot escape hatch (see [`force_one_shot`])
-    /// instead takes the legacy fresh-everything path — the determinism
-    /// suite runs whole plans both ways and compares artifacts.
+    /// checker).
     pub(crate) fn run_once(
         &mut self,
         dut: &SourceFile,
         driver: &SourceFile,
         scenarios: &ScenarioSet,
     ) -> Result<TbRun, TbError> {
-        if one_shot_active() {
-            let (records, end_time) =
-                crate::runner::simulate_records_limited(dut, driver, limits_for(scenarios))?;
-            let results = crate::runner::judge_records_with_ports(
-                &records,
-                &self.checker,
-                &self.ports,
-                scenarios.len(),
-            )?;
-            return Ok(TbRun {
-                results,
-                records,
-                end_time,
-            });
-        }
         let design = self.design(dut, driver)?;
         let (limits, binding) = crate::runner::budgeted_limits(limits_for(scenarios));
         let sim = match &mut self.sim {
@@ -351,37 +323,11 @@ impl EvalSession {
     }
 }
 
-/// `true` while a [`force_one_shot`] guard is live on this thread.
-pub(crate) fn one_shot_active() -> bool {
-    crate::install::ONE_SHOT.with(|f| f.get())
-}
-
-/// Forces every session on the current thread onto the legacy one-shot
-/// path — fresh simulator per run, interpreted judging — until the guard
-/// drops. Exists for the determinism suite (session-batched vs one-shot
-/// artifact equality) and A/B benchmarking; never needed for correctness.
-pub fn force_one_shot() -> OneShotGuard {
-    let prev = crate::install::ONE_SHOT.with(|f| f.replace(true));
-    OneShotGuard { prev }
-}
-
-/// Restores the previous execution path when dropped.
-pub struct OneShotGuard {
-    prev: bool,
-}
-
-impl Drop for OneShotGuard {
-    fn drop(&mut self) {
-        let prev = self.prev;
-        crate::install::ONE_SHOT.with(|f| f.set(prev));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::driver::generate_driver;
-    use crate::runner::run_testbench_parsed;
+    use crate::runner::{judge_records, simulate_records_limited};
     use crate::scenarios::generate_scenarios;
     use correctbench_checker::compile_module;
     use correctbench_verilog::parse;
@@ -392,11 +338,39 @@ mod tests {
         a.results == b.results && a.records == b.records && a.end_time == b.end_time
     }
 
-    /// Session runs must match the one-shot free function exactly — on
-    /// golden DUTs, mutants, repeated DUTs (simulator reuse via reset),
-    /// and interleavings that force simulator reconstruction.
+    /// The fresh-everything reference: a new simulator per run and the
+    /// interpreted judge.
+    fn fresh_reference(
+        dut: &SourceFile,
+        driver: &SourceFile,
+        checker: &CheckerProgram,
+        problem: &Problem,
+        scenarios: &ScenarioSet,
+    ) -> Result<TbRun, TbError> {
+        let (records, end_time) = simulate_records_limited(dut, driver, limits_for(scenarios))?;
+        let results = judge_records(&records, checker, problem, scenarios.len())?;
+        Ok(TbRun {
+            results,
+            records,
+            end_time,
+        })
+    }
+
+    /// A two-site mutant of `golden`'s `name` module.
+    fn mutant(golden: &SourceFile, name: &str, seed: u64) -> SourceFile {
+        let mut file = golden.clone();
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xbeef);
+        if let Some(m) = file.module_mut(name) {
+            correctbench_verilog::mutate::mutate_module(m, &mut rng, 2);
+        }
+        file
+    }
+
+    /// Session runs must match the fresh reference exactly — on golden
+    /// DUTs, mutants, repeated DUTs (simulator reuse via reset), and
+    /// interleavings that force simulator reconstruction.
     #[test]
-    fn session_matches_one_shot_across_a_sweep() {
+    fn session_matches_fresh_reference_across_a_sweep() {
         for name in ["alu_8", "counter_8", "shift18"] {
             let p = correctbench_dataset::problem(name).expect("problem");
             let scen = generate_scenarios(&p, 33);
@@ -408,26 +382,19 @@ mod tests {
             // the sweep exercises reset-reuse *and* reconstruction.
             let mut duts = vec![golden.clone(), golden.clone()];
             for seed in 0..3u64 {
-                let mut file = golden.clone();
-                let mut rng = StdRng::seed_from_u64(seed ^ 0xbeef);
-                if let Some(m) = file.module_mut(&p.name) {
-                    correctbench_verilog::mutate::mutate_module(m, &mut rng, 2);
-                }
-                duts.push(file);
+                duts.push(mutant(&golden, &p.name, seed));
                 duts.push(golden.clone());
             }
 
             let mut session = EvalSession::new(&p, &checker).expect("session");
             let swept = session.sweep_mutants(duts.iter(), &driver, &scen);
             for (dut, via_session) in duts.iter().zip(swept) {
-                let one_shot = {
-                    let _guard = force_one_shot();
-                    run_testbench_parsed(dut, &driver, &checker, &p, &scen)
-                };
-                match (via_session, one_shot) {
-                    (Ok(a), Ok(b)) => {
-                        assert!(tb_run_eq(&a, &b), "{name}: session diverged from one-shot")
-                    }
+                let reference = fresh_reference(dut, &driver, &checker, &p, &scen);
+                match (via_session, reference) {
+                    (Ok(a), Ok(b)) => assert!(
+                        tb_run_eq(&a, &b),
+                        "{name}: session diverged from the fresh reference"
+                    ),
                     (Err(_), Err(_)) => {}
                     (a, b) => panic!("{name}: one path errored: {a:?} vs {b:?}"),
                 }
@@ -436,7 +403,7 @@ mod tests {
     }
 
     #[test]
-    fn sweep_schedules_matches_one_shot() {
+    fn sweep_schedules_matches_fresh_reference() {
         let p = correctbench_dataset::problem("counter_8").expect("problem");
         let checker = compile_module(&p.golden_module()).expect("checker");
         let dut = parse(&p.golden_rtl).expect("golden");
@@ -452,12 +419,57 @@ mod tests {
             .iter()
             .zip(session.sweep_schedules(&dut, schedules.iter()))
         {
-            let reference = {
-                let _guard = force_one_shot();
-                run_testbench_parsed(&dut, driver, &checker, &p, scen).expect("one-shot")
-            };
+            let reference = fresh_reference(&dut, driver, &checker, &p, scen).expect("reference");
             assert!(tb_run_eq(&run.expect("session run"), &reference));
         }
+    }
+
+    /// The last-pair memo is the only design reuse: a repeated (DUT,
+    /// driver) pair keeps the same `Arc<Design>` and the simulator built
+    /// on it; a different DUT replaces both. Results never depend on it.
+    #[test]
+    fn last_pair_memo_reuses_design_and_simulator() {
+        let p = correctbench_dataset::problem("counter_8").expect("problem");
+        let scen = generate_scenarios(&p, 21);
+        let driver = parse(&generate_driver(&p, &scen)).expect("driver");
+        let checker = compile_module(&p.golden_module()).expect("checker");
+        let golden = parse(&p.golden_rtl).expect("golden");
+        let other = mutant(&golden, &p.name, 7);
+        assert_ne!(golden.fingerprint(), other.fingerprint());
+
+        let mut session = EvalSession::new(&p, &checker).expect("session");
+        let run = |session: &mut EvalSession, dut: &SourceFile| {
+            let got = session.run(dut, &driver, &scen);
+            let reference = fresh_reference(dut, &driver, &checker, &p, &scen);
+            match (&got, &reference) {
+                (Ok(a), Ok(b)) => assert!(tb_run_eq(a, b), "memo changed a result"),
+                (Err(_), Err(_)) => {}
+                (a, b) => panic!("one path errored: {a:?} vs {b:?}"),
+            }
+            let design = session.last_design.clone().expect("memo filled");
+            let sim = session.sim.as_ref().expect("simulator built");
+            assert!(sim.shares(&design), "simulator runs the memoized design");
+            design
+        };
+
+        let first = run(&mut session, &golden);
+        let repeat = run(&mut session, &golden);
+        assert!(
+            Arc::ptr_eq(&first, &repeat),
+            "a repeated pair must reuse the memoized design"
+        );
+        let replaced = run(&mut session, &other);
+        assert!(
+            !Arc::ptr_eq(&first, &replaced),
+            "a different DUT must replace the design"
+        );
+        let sim = session.sim.as_ref().expect("simulator");
+        assert!(!sim.shares(&first), "the old simulator was replaced");
+        let back = run(&mut session, &golden);
+        assert!(
+            !Arc::ptr_eq(&first, &back),
+            "the memo holds one pair, not a history"
+        );
     }
 
     #[test]
@@ -468,31 +480,18 @@ mod tests {
         let checker = compile_module(&p.golden_module()).expect("checker");
         let dut = parse(&p.golden_rtl).expect("golden");
         let cache = crate::SimCache::new();
-        let _guard = cache.install();
+        let _guard = crate::CacheStack::empty()
+            .with_sim_cache(Arc::clone(&cache))
+            .install();
         let mut session = EvalSession::new(&p, &checker).expect("session");
         let a = session.run(&dut, &driver, &scen).expect("first");
         let b = session.run(&dut, &driver, &scen).expect("second");
         assert!(tb_run_eq(&a, &b));
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
-        // And the one-shot wrapper hits the very same entry.
+        // And the free-function wrapper hits the very same entry.
         let c = crate::run_testbench_parsed(&dut, &driver, &checker, &p, &scen).expect("wrapper");
         assert!(tb_run_eq(&a, &c));
         assert_eq!(cache.stats().hits, 2);
-    }
-
-    #[test]
-    fn one_shot_guard_is_scoped() {
-        assert!(!one_shot_active());
-        {
-            let _g = force_one_shot();
-            assert!(one_shot_active());
-            {
-                let _g2 = force_one_shot();
-                assert!(one_shot_active());
-            }
-            assert!(one_shot_active());
-        }
-        assert!(!one_shot_active());
     }
 }
