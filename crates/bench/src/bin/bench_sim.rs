@@ -46,6 +46,14 @@
 //!   run, so the end-to-end number is measured on the harness itself
 //!   (the `lint` phase's share of total phase-attributed time in a real
 //!   sweep's `metrics.json`) and recorded via `--lint-warn-overhead`.
+//! * `runaway_full_ns` vs `runaway_shortcut_ns` — one simulation of a
+//!   `priority_enc_8` mutant whose `for` step is `i = i - 1` (the loop
+//!   counts down against `i < 8`, so it never exits), under the
+//!   harness budget (`limits_for`). The full arm runs the design with
+//!   every `ProcessDef::loops` cleared, so it spends the whole step
+//!   budget before `EventBudgetExhausted`; the shortcut arm runs the
+//!   design as elaborated and fails at loop entry with the same error.
+//!   Measured once, outside the per-problem rows.
 //!
 //! ```text
 //! bench_sim [--quick] [--samples N] [--out FILE] [--lint-warn-overhead PCT]
@@ -69,7 +77,7 @@ use correctbench_tbgen::{
 };
 use correctbench_verilog::ast::SourceFile;
 use correctbench_verilog::hash::{debug_hash, structural_hash, StructuralHash};
-use correctbench_verilog::{lint_file, parse, Design, SimLimits, Simulator};
+use correctbench_verilog::{lint_file, parse, Design, SimError, SimLimits, Simulator};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -228,6 +236,31 @@ impl Row {
         (self.median("hot_path_obs") as f64 / self.median("cached_simulate").max(1) as f64 - 1.0)
             * 100.0
     }
+}
+
+/// The runaway-loop pair: the same budget-exhausting simulation of a
+/// `priority_enc_8` mutant without and with its counted-loop marks.
+fn runaway_arms(samples: usize) -> Vec<(&'static str, Spread)> {
+    let case = case_for("priority_enc_8");
+    let step = "i = i + 1";
+    assert!(case.problem.golden_rtl.contains(step), "golden loop step");
+    let mutant = parse(&case.problem.golden_rtl.replace(step, "i = i - 1")).expect("mutant parses");
+    let marked = elaborate_pair(&mutant, &case.driver).expect("elaborate");
+    let mut unmarked = marked.clone();
+    for p in &mut unmarked.processes {
+        p.loops.clear();
+    }
+    let exhaust = |design: &Design| {
+        let r = Simulator::with_limits(design, case.limits).run();
+        assert!(matches!(r, Err(SimError::EventBudgetExhausted)), "{r:?}");
+    };
+    spreads_interleaved(
+        samples,
+        &mut [
+            ("runaway_full", &mut || exhaust(&unmarked)),
+            ("runaway_shortcut", &mut || exhaust(&marked)),
+        ],
+    )
 }
 
 fn median_f64(mut xs: Vec<f64>) -> f64 {
@@ -437,6 +470,9 @@ fn main() {
     }
 
     let median_obs = median_f64(rows.iter().map(Row::obs_overhead_pct).collect());
+    let runaway = runaway_arms(samples);
+    let runaway_speedup = runaway[0].1.median as f64 / runaway[1].1.median.max(1) as f64;
+    eprintln!("runaway loop | speedup_runaway_shortcut {runaway_speedup:.0}x");
 
     let mut json = String::new();
     let _ = writeln!(json, "{{");
@@ -459,6 +495,18 @@ fn main() {
     }
     let _ = writeln!(json, "  \"median_obs_overhead_pct\": {median_obs:.2},");
     summary.push(format!("obs overhead {median_obs:+.2}%"));
+    for (arm, s) in &runaway {
+        let _ = writeln!(
+            json,
+            "  \"{arm}_ns\": {}, \"{arm}_p25_ns\": {}, \"{arm}_p75_ns\": {},",
+            s.median, s.p25, s.p75
+        );
+    }
+    let _ = writeln!(
+        json,
+        "  \"speedup_runaway_shortcut\": {runaway_speedup:.2},"
+    );
+    summary.push(format!("runaway shortcut {runaway_speedup:.0}x"));
     let _ = writeln!(json, "  \"problems\": [");
     for (i, r) in rows.iter().enumerate() {
         let comma = if i + 1 < rows.len() { "," } else { "" };

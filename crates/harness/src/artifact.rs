@@ -11,7 +11,7 @@
 //!   (`verilog::lint`), jobs in canonical order, each job's findings in
 //!   the report's sorted order. The lint pass is pure, so this file
 //!   shares the determinism contract above.
-//! * `timings.jsonl` (schema v3) — measured run metadata and per-job
+//! * `timings.jsonl` (schema v4) — measured run metadata and per-job
 //!   wall times. The first line describes the run (`run_wall_ms`,
 //!   `threads`, `jobs`, one counter object or `null` per cache layer);
 //!   every following line is one job, in canonical job order, carrying
@@ -379,7 +379,7 @@ fn counters_json(obs: Option<&JobObs>) -> String {
     }
 }
 
-/// Renders the measured timing sidecar for one run (schema v3: job
+/// Renders the measured timing sidecar for one run (schema v4: job
 /// lines carry the `method`/`rep`/`seed` join keys and, with
 /// observability on, per-phase self-times and counters). Cache counters
 /// live here, not in `outcomes.jsonl`: totals depend on worker
@@ -423,17 +423,10 @@ pub fn timings_jsonl(result: &RunResult) -> String {
 /// percentiles in first-appearance order over the canonical job list
 /// (deterministic structure; measured values).
 pub fn metrics_json(result: &RunResult) -> String {
-    let mut totals = JobObs::default();
-    let mut observed = 0usize;
-    for o in &result.outcomes {
-        if let Some(obs) = &o.obs {
-            totals.merge(obs);
-            observed += 1;
-        }
-    }
+    let (totals, observed) = crate::report::obs_totals(&result.outcomes);
     let mut s = String::new();
     s.push_str("{\n");
-    let _ = writeln!(s, "  \"schema\": \"correctbench-metrics-v2\",");
+    let _ = writeln!(s, "  \"schema\": \"correctbench-metrics-v3\",");
     let _ = writeln!(s, "  \"run_wall_ms\": {},", result.wall.as_millis());
     let _ = writeln!(s, "  \"threads\": {},", result.threads);
     let _ = writeln!(s, "  \"jobs\": {},", result.outcomes.len());

@@ -5,7 +5,7 @@
 //! ```
 //!
 //! Reads a `timings.jsonl` produced by `correctbench-run --out` (schema
-//! v3: a run line followed by one line per job) and re-renders what a
+//! v4: a run line followed by one line per job) and re-renders what a
 //! live run puts in `summary.txt`/`metrics.json`: per-`(problem,
 //! method)` job-latency percentiles (p50/p90/p99/max, from the same
 //! deterministic-structure log-bucketed histogram) plus phase and
@@ -15,7 +15,8 @@
 //! Works on any past run's artifact — no re-execution.
 
 use correctbench_harness::json::{parse, Value};
-use correctbench_obs::{Counter, Histogram, Phase};
+use correctbench_harness::sim_outcomes_line;
+use correctbench_obs::{Counter, Histogram, JobObs, Phase};
 
 const USAGE: &str = "usage: correctbench-report [--help] TIMINGS.JSONL";
 
@@ -150,6 +151,11 @@ fn main() {
         for p in Phase::ALL {
             println!("  {:<10} {:>12} us", p.name(), phase_us[p as usize]);
         }
+        let totals = JobObs {
+            phase_ns: [0; Phase::COUNT],
+            counters,
+        };
+        println!("{}", sim_outcomes_line(&totals));
         println!("counter totals");
         for c in Counter::ALL {
             println!("  {:<18} {:>14}", c.name(), counters[c as usize]);

@@ -88,7 +88,10 @@ pub use correctbench_store::{CellKey, OutcomeStore, StoreStats};
 pub use correctbench_tbgen::AbortKind;
 pub use fault::{FaultKind, FaultPlan, FAULT_EXIT_CODE};
 pub use plan::{mix_seed, problem_subset, Job, LintMode, RunPlan, StoreConfig};
-pub use report::{latency_groups, render_latency_table, render_summary, summarize, MethodSummary};
+pub use report::{
+    latency_groups, render_latency_table, render_summary, sim_outcomes_line, summarize,
+    MethodSummary,
+};
 pub use scheduler::{parallel_map, Engine, OutcomeHook, RunResult};
 pub use storebridge::{cell_key, config_fingerprint, decode_cell, encode_cell, plan_fingerprint};
 pub use worker::{run_job, run_job_guarded, TaskOutcome};

@@ -5,7 +5,7 @@ use crate::scheduler::RunResult;
 use crate::worker::TaskOutcome;
 use correctbench::Method;
 use correctbench_autoeval::EvalLevel;
-use correctbench_obs::Histogram;
+use correctbench_obs::{Counter, Histogram, JobObs};
 use std::fmt::Write as _;
 
 /// Aggregated statistics of one method across a run.
@@ -122,6 +122,33 @@ pub fn render_latency_table(outcomes: &[TaskOutcome]) -> String {
     s
 }
 
+/// Phase and counter totals over every observed job, and how many jobs
+/// were observed (0 under `--no-obs`).
+pub(crate) fn obs_totals(outcomes: &[TaskOutcome]) -> (JobObs, usize) {
+    let mut totals = JobObs::default();
+    let mut observed = 0;
+    for obs in outcomes.iter().filter_map(|o| o.obs.as_ref()) {
+        totals.merge(obs);
+        observed += 1;
+    }
+    (totals, observed)
+}
+
+/// The "simulation outcomes:" summary line over aggregated counters:
+/// how many simulations ended in a budget exhaustion (and how many of
+/// those failed at counted-loop entry instead of spending the budget) or
+/// a delta overflow, and the instructions executed. `correctbench-report`
+/// prints the same line from a timing sidecar.
+pub fn sim_outcomes_line(totals: &JobObs) -> String {
+    format!(
+        "simulation outcomes: {} budget-exhausted ({} short-circuited at loop entry), {} delta overflows, {} instructions executed",
+        totals.counter(Counter::SimExhaustedRuns),
+        totals.counter(Counter::SimLoopShortcuts),
+        totals.counter(Counter::SimOverflowRuns),
+        totals.counter(Counter::SimInstrs),
+    )
+}
+
 /// Renders the run summary: per-method evaluation table, token costs,
 /// and the engine's wall-clock / cache measurements.
 pub fn render_summary(plan: &RunPlan, result: &RunResult) -> String {
@@ -158,6 +185,12 @@ pub fn render_summary(plan: &RunPlan, result: &RunResult) -> String {
         );
     }
     let _ = writeln!(s, "wall: {:?} on {} threads", result.wall, result.threads);
+    let (totals, observed) = obs_totals(&result.outcomes);
+    if observed > 0 {
+        let _ = writeln!(s, "{}", sim_outcomes_line(&totals));
+    } else {
+        let _ = writeln!(s, "simulation outcomes: not observed (--no-obs)");
+    }
     // Static-analysis rollup: total findings plus per-rule counts in
     // taxonomy order (nonzero rules only — the full zero-filled table
     // lives in metrics.json).

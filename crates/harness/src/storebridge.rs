@@ -35,8 +35,9 @@ use correctbench_verilog::{Fingerprint, FingerprintHasher, StructuralHash};
 /// Version tag of the cell payload encoding below. Folded into the
 /// config fingerprint, so bumping it orphans (never mis-reads) every
 /// cell written under the old encoding. v2: the counter line lost the
-/// two elaboration-cache counters.
-pub const CELL_SCHEMA: &str = "correctbench-cell-v2";
+/// two elaboration-cache counters. v3: it gained the three
+/// simulation-outcome counters.
+pub const CELL_SCHEMA: &str = "correctbench-cell-v3";
 
 /// Fingerprint of everything plan-wide that can change an outcome byte.
 pub fn config_fingerprint(plan: &RunPlan) -> Fingerprint {

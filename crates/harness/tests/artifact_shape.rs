@@ -1,5 +1,5 @@
 //! Golden-shape tests for the artifact schemas: the exact field set and
-//! ordering of `outcomes.jsonl`, `timings.jsonl` (v3) and `metrics.json`
+//! ordering of `outcomes.jsonl`, `timings.jsonl` (v4) and `metrics.json`
 //! are a contract — downstream joins and the offline report CLI depend
 //! on them — so schema drift must show up as a reviewed diff here, not
 //! as an accident.
@@ -117,6 +117,9 @@ fn timings_lines_pin_field_set_and_order() {
                 "lint_diags",
                 "store_hits",
                 "store_misses",
+                "sim_exhausted_runs",
+                "sim_overflow_runs",
+                "sim_loop_shortcuts",
             ],
             "counter taxonomy drift:\n{line}"
         );
@@ -164,7 +167,7 @@ fn metrics_json_pins_field_set_and_order() {
     );
     assert_eq!(
         v.get("schema").and_then(Value::as_str),
-        Some("correctbench-metrics-v2")
+        Some("correctbench-metrics-v3")
     );
     assert_eq!(
         v.get("caches").expect("caches").keys(),

@@ -11,8 +11,8 @@
 //!   pauses the parent, so a job's per-phase nanoseconds sum to the
 //!   wall time actually covered by spans — never double-counted.
 //! * [`add`] bumps a [`Counter`] (simulation events, executed process
-//!   instructions, NBA commits, judge slot commits, per-layer cache
-//!   hits and misses) for the job that incurred it.
+//!   instructions, NBA commits, simulation outcomes, judge slot commits,
+//!   per-layer cache hits and misses) for the job that incurred it.
 //!
 //! [`take_job`] drains the collector into a [`JobObs`] snapshot and
 //! rearms it for the next job. With no collector installed — or one
@@ -97,7 +97,8 @@ pub enum Counter {
     /// Simulator activations processed (process + assign wake-ups).
     SimEvents,
     /// Process instructions executed, the unit `SimLimits::max_steps`
-    /// budgets.
+    /// budgets. Steps a run skips by failing at the entry of a counted
+    /// loop (see `SimLoopShortcuts`) are not executed and not counted.
     SimInstrs,
     /// Non-blocking assignment commits applied.
     NbaCommits,
@@ -125,11 +126,19 @@ pub enum Counter {
     StoreHits,
     /// Jobs the persistent outcome store could not serve.
     StoreMisses,
+    /// Simulations that ended in `SimError::EventBudgetExhausted`,
+    /// whether the budget ran out or a loop shortcut proved it would.
+    SimExhaustedRuns,
+    /// Simulations that ended in `SimError::DeltaOverflow`.
+    SimOverflowRuns,
+    /// Simulations failed at the entry of a counted loop certain to
+    /// exhaust the step budget (a subset of `SimExhaustedRuns`).
+    SimLoopShortcuts,
 }
 
 impl Counter {
     /// Number of counters (array-index domain).
-    pub const COUNT: usize = 15;
+    pub const COUNT: usize = 18;
 
     /// Every counter, in canonical (artifact) order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -148,6 +157,9 @@ impl Counter {
         Counter::LintDiags,
         Counter::StoreHits,
         Counter::StoreMisses,
+        Counter::SimExhaustedRuns,
+        Counter::SimOverflowRuns,
+        Counter::SimLoopShortcuts,
     ];
 
     /// The artifact field name of this counter.
@@ -168,6 +180,9 @@ impl Counter {
             Counter::LintDiags => "lint_diags",
             Counter::StoreHits => "store_hits",
             Counter::StoreMisses => "store_misses",
+            Counter::SimExhaustedRuns => "sim_exhausted_runs",
+            Counter::SimOverflowRuns => "sim_overflow_runs",
+            Counter::SimLoopShortcuts => "sim_loop_shortcuts",
         }
     }
 }
@@ -624,6 +639,10 @@ mod tests {
         assert_eq!(counters[Counter::LintDiags as usize], "lint_diags");
         assert_eq!(counters[Counter::StoreHits as usize], "store_hits");
         assert_eq!(counters[Counter::StoreMisses as usize], "store_misses");
+        assert_eq!(
+            counters[Counter::SimLoopShortcuts as usize],
+            "sim_loop_shortcuts"
+        );
         for (i, p) in Phase::ALL.iter().enumerate() {
             assert_eq!(*p as usize, i, "Phase::ALL order matches discriminants");
         }

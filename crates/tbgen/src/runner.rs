@@ -196,7 +196,9 @@ pub fn limits_for(scenarios: &ScenarioSet) -> SimLimits {
         // Generated DUT mutants can contain runaway procedural loops
         // (e.g. an inverted for-loop step); a tight per-run instruction
         // budget keeps each RS-matrix row cheap. Honest runs use a few
-        // hundred instructions per stimulus.
+        // hundred instructions per stimulus. A runaway counted loop
+        // fails at loop entry instead of spending the budget (see
+        // `verilog::sim`), with the same `EventBudgetExhausted`.
         max_steps: 200_000 + stimuli * 20_000,
         ..SimLimits::default()
     }

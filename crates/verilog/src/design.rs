@@ -5,6 +5,9 @@
 //! bodies are lowered to flat instruction lists ([`Instr`]) so that the
 //! event simulator can suspend them at delays and event controls and
 //! resume them later. The simulator executes this form directly.
+//! Elaboration also marks each process's *counted loops*
+//! ([`counted_loops`]), which the simulator uses to fail a runaway loop
+//! at entry.
 //!
 //! Expression evaluation implements the Verilog context-determined sizing
 //! rules: operands of arithmetic and bitwise operators are extended to the
@@ -231,6 +234,270 @@ pub struct ProcessDef {
     pub code: Vec<Instr>,
     /// Debug name (`initial#0`, `always#2`).
     pub name: String,
+    /// The counted loops of `code` ([`counted_loops`]), in head order.
+    /// The simulator consults them at loop entry; clearing them only
+    /// removes that shortcut, never changes a result.
+    pub loops: Vec<CountedLoop>,
+}
+
+/// A loop whose trip count depends on its counter alone: the head tests
+/// the counter against a literal, the last instruction before the back
+/// edge steps it by a literal, and nothing in between writes it, yields
+/// or leaves the loop. Found by [`counted_loops`].
+///
+/// Every field mirrors how [`eval`] sizes the two instructions, so the
+/// replay the simulator runs at loop entry reproduces the simulated
+/// counter and exit test exactly for a fully known counter.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct CountedLoop {
+    /// Pc of the head, `JumpIfFalse(cond, back_edge + 1)`.
+    pub(crate) head: usize,
+    /// Pc of the back edge, `Jump(head)`.
+    pub(crate) back_edge: usize,
+    /// The counter.
+    pub(crate) var: SignalId,
+    /// The counter's width (1..=64).
+    pub(crate) width: usize,
+    /// Step operator: `Add`, `Sub`, `Or`, `And` or `Xor`.
+    pub(crate) step_op: BinaryOp,
+    /// Step literal, extended as `eval` extends it, then truncated to
+    /// `width` (the step's result is truncated to the counter anyway).
+    pub(crate) step_lit: u64,
+    /// Exit test with the counter on the left: `Lt`, `Le`, `Gt`, `Ge`
+    /// or `Ne` (a mirrored `lit < v` is stored as `v > lit`).
+    pub(crate) cmp: BinaryOp,
+    /// Width both sides of the comparison are extended to (1..=64).
+    pub(crate) cmp_width: usize,
+    /// Whether the counter sign-extends into `cmp_width`.
+    pub(crate) cmp_var_signed: bool,
+    /// The comparison literal, extended to `cmp_width`.
+    pub(crate) cmp_lit: u64,
+    /// Two's-complement ordering (both sides signed).
+    pub(crate) cmp_signed: bool,
+}
+
+/// The replay bound of [`CountedLoop::outruns`]: past this many trips it
+/// gives up undecided, so a huge step budget cannot stall a process at
+/// loop entry. It exceeds a third of the default 10M-step budget.
+const MAX_REPLAY_TRIPS: u64 = 1 << 22;
+
+impl CountedLoop {
+    /// The counter after one step from `x`.
+    fn step(&self, x: u64) -> u64 {
+        let k = self.step_lit;
+        let r = match self.step_op {
+            BinaryOp::Add => x.wrapping_add(k),
+            BinaryOp::Sub => x.wrapping_sub(k),
+            BinaryOp::Or => x | k,
+            BinaryOp::And => x & k,
+            _ => x ^ k,
+        };
+        r & mask(self.width)
+    }
+
+    /// `x` extended to the comparison width, with the sign bit flipped
+    /// for a signed comparison so that unsigned order on keys is the
+    /// comparison's order.
+    fn key(&self, x: u64) -> u64 {
+        (extend(x, self.width, self.cmp_var_signed) & mask(self.cmp_width)) ^ self.sign_flip()
+    }
+
+    /// The comparison literal's key (see [`CountedLoop::key`]).
+    fn lit_key(&self) -> u64 {
+        self.cmp_lit ^ self.sign_flip()
+    }
+
+    fn sign_flip(&self) -> u64 {
+        u64::from(self.cmp_signed) << (self.cmp_width - 1)
+    }
+
+    /// `true` when, entered with the counter at `start`, the condition
+    /// holds on `trips` consecutive tests, or holds on every value of a
+    /// cycle of the step (a fixed point, or a return to `start`), and so
+    /// forever. `false` when the loop exits sooner, or when `trips`
+    /// exceeds [`MAX_REPLAY_TRIPS`] and no cycle decides it. `trips` is at
+    /// least 1.
+    pub(crate) fn outruns(&self, start: u64, trips: u64) -> bool {
+        // One monomorphic replay per comparison keeps the per-trip work
+        // to a few integer operations.
+        let lit = self.lit_key();
+        match self.cmp {
+            BinaryOp::Lt => self.replay(start, trips, |k| k < lit),
+            BinaryOp::Le => self.replay(start, trips, |k| k <= lit),
+            BinaryOp::Gt => self.replay(start, trips, |k| k > lit),
+            BinaryOp::Ge => self.replay(start, trips, |k| k >= lit),
+            _ => self.replay(start, trips, |k| k != lit),
+        }
+    }
+
+    /// [`CountedLoop::outruns`] for the condition `holds` on keys.
+    fn replay(&self, start: u64, trips: u64, holds: impl Fn(u64) -> bool) -> bool {
+        let mut x = start;
+        for _ in 1..trips.min(MAX_REPLAY_TRIPS) {
+            if !holds(self.key(x)) {
+                return false;
+            }
+            let next = self.step(x);
+            if next == x || next == start {
+                return true;
+            }
+            x = next;
+        }
+        trips <= MAX_REPLAY_TRIPS && holds(self.key(x))
+    }
+}
+
+/// All-ones in the low `width` bits (`width` in 1..=64).
+fn mask(width: usize) -> u64 {
+    u64::MAX >> (64 - width)
+}
+
+/// `x` (a `width`-bit value) extended to 64 bits, as `LogicVec::resize`
+/// does.
+fn extend(x: u64, width: usize, signed: bool) -> u64 {
+    if signed {
+        let shift = 64 - width;
+        (((x << shift) as i64) >> shift) as u64
+    } else {
+        x
+    }
+}
+
+/// Finds the counted loops of a lowered process body; `signals` is the
+/// design's signal table. `for`, `while` and `repeat` all lower to the
+/// shape matched here:
+///
+/// ```text
+/// h:    JumpIfFalse(v cmp lit, j + 1)   cmp in <, <=, >, >=, != (or mirrored)
+/// h+1..j-2: body                        assignments and in-loop branches only
+/// j-1:  v = v op lit                    op in +, -, |, &, ^
+/// j:    Jump(h)
+/// ```
+///
+/// The body may hold blocking and non-blocking assignments that do not
+/// write `v`, and jumps and case arms whose targets stay in `h+1..=j-1`;
+/// a delay, event wait, system task or halt disqualifies the loop. Every
+/// width involved must be at most 64 bits and both literals fully known.
+pub fn counted_loops(code: &[Instr], signals: &[SignalDef]) -> Vec<CountedLoop> {
+    let mut out = Vec::new();
+    for (head, instr) in code.iter().enumerate() {
+        let Instr::JumpIfFalse(cond, exit) = instr else {
+            continue;
+        };
+        let Some(back_edge) = exit.checked_sub(1) else {
+            continue;
+        };
+        if back_edge < head + 2
+            || !matches!(code.get(back_edge), Some(Instr::Jump(t)) if *t == head)
+        {
+            continue;
+        }
+        if let Some(l) = match_loop(code, signals, head, back_edge, cond) {
+            out.push(l);
+        }
+    }
+    out
+}
+
+fn match_loop(
+    code: &[Instr],
+    signals: &[SignalDef],
+    head: usize,
+    back_edge: usize,
+    cond: &RExpr,
+) -> Option<CountedLoop> {
+    // The step: `v = v op lit`.
+    let Instr::Assign(RLValue::Sig(var), rhs) = &code[back_edge - 1] else {
+        return None;
+    };
+    let width = signals.get(var.0 as usize)?.width;
+    let RExprKind::Binary(step_op, a, b) = &rhs.kind else {
+        return None;
+    };
+    if !matches!(
+        step_op,
+        BinaryOp::Add | BinaryOp::Sub | BinaryOp::Or | BinaryOp::And | BinaryOp::Xor
+    ) || !matches!(a.kind, RExprKind::Sig(s) if s == *var)
+    {
+        return None;
+    }
+    // `eval_rhs` evaluates at max(width, rhs.width); both operands must
+    // extend to that common width.
+    let ctx = width.max(rhs.width);
+    if ctx > 64 || a.width != width || b.width > ctx {
+        return None;
+    }
+    let step_lit = extend(literal(b)?, b.width, b.signed) & mask(width);
+
+    // The exit test: `v cmp lit` or `lit cmp v`.
+    let RExprKind::Binary(cmp, l, r) = &cond.kind else {
+        return None;
+    };
+    let (v, lit, cmp) = match (&l.kind, &r.kind) {
+        (RExprKind::Sig(s), RExprKind::Lit(_)) if s == var => (l, r, *cmp),
+        (RExprKind::Lit(_), RExprKind::Sig(s)) if s == var => (r, l, mirror(*cmp)?),
+        _ => return None,
+    };
+    if !matches!(
+        cmp,
+        BinaryOp::Lt | BinaryOp::Le | BinaryOp::Gt | BinaryOp::Ge | BinaryOp::Ne
+    ) {
+        return None;
+    }
+    let cmp_width = v.width.max(lit.width);
+    if cmp_width > 64 || v.width != width {
+        return None;
+    }
+    let cmp_lit = extend(literal(lit)?, lit.width, lit.signed) & mask(cmp_width);
+
+    // The body: no write to `v`, no yield, no way out but the step.
+    let mut written = Vec::new();
+    for instr in &code[head + 1..back_edge - 1] {
+        let in_loop = |t: &usize| (head + 1..back_edge).contains(t);
+        match instr {
+            Instr::Assign(lhs, _) | Instr::NbAssign(lhs, _) => lhs.collect_sigs(&mut written),
+            Instr::JumpIfFalse(_, t) | Instr::Jump(t) if in_loop(t) => {}
+            Instr::CaseJump { arms, default, .. }
+                if in_loop(default) && arms.iter().all(|(_, t)| in_loop(t)) => {}
+            _ => return None,
+        }
+    }
+    if written.contains(var) {
+        return None;
+    }
+    Some(CountedLoop {
+        head,
+        back_edge,
+        var: *var,
+        width,
+        step_op: *step_op,
+        step_lit,
+        cmp,
+        cmp_width,
+        cmp_var_signed: v.signed,
+        cmp_lit,
+        cmp_signed: v.signed && lit.signed,
+    })
+}
+
+/// The value of a fully known literal of at most 64 bits.
+fn literal(e: &RExpr) -> Option<u64> {
+    match &e.kind {
+        RExprKind::Lit(v) if e.width <= 64 && v.width() == e.width => v.to_u64(),
+        _ => None,
+    }
+}
+
+/// The comparison with its operands swapped (`a < b` is `b > a`).
+fn mirror(cmp: BinaryOp) -> Option<BinaryOp> {
+    Some(match cmp {
+        BinaryOp::Lt => BinaryOp::Gt,
+        BinaryOp::Le => BinaryOp::Ge,
+        BinaryOp::Gt => BinaryOp::Lt,
+        BinaryOp::Ge => BinaryOp::Le,
+        BinaryOp::Ne => BinaryOp::Ne,
+        _ => return None,
+    })
 }
 
 /// A continuous assignment.

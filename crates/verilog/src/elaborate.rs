@@ -38,6 +38,12 @@ pub fn elaborate(file: &SourceFile, top: &str) -> Result<Design, ElabError> {
         temp_counter: 0,
     };
     el.instantiate(module, "", 0)?;
+    let Design {
+        signals, processes, ..
+    } = &mut design;
+    for p in processes {
+        p.loops = counted_loops(&p.code, signals);
+    }
     Ok(design)
 }
 
@@ -269,6 +275,7 @@ impl<'a> Elaborator<'a> {
                 kind: ProcessKind::Initial,
                 code,
                 name: format!("{prefix}$decl_init"),
+                loops: Vec::new(),
             });
         }
 
@@ -340,6 +347,7 @@ impl<'a> Elaborator<'a> {
                         kind: ProcessKind::Always,
                         code,
                         name: format!("{prefix}always#{idx}"),
+                        loops: Vec::new(),
                     });
                 }
                 Item::Initial(body) => {
@@ -358,6 +366,7 @@ impl<'a> Elaborator<'a> {
                         kind: ProcessKind::Initial,
                         code,
                         name: format!("{prefix}initial#{idx}"),
+                        loops: Vec::new(),
                     });
                 }
                 Item::Instance(inst) => {

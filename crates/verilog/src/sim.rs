@@ -21,6 +21,21 @@
 //! The step budget ([`SimLimits::max_steps`]) counts process
 //! instructions: one step per instruction executed, plus one when a
 //! process runs off the end of its code.
+//!
+//! # Counted loops
+//!
+//! A run that is certain to exhaust the budget may fail before spending
+//! it. Elaboration marks each process's *counted loops*
+//! ([`ProcessDef::loops`], found by [`counted_loops`]): a loop whose
+//! counter is tested against a literal, stepped by a literal and written
+//! by nothing else, with a body that cannot yield, `$finish` or leave.
+//! When such a loop is entered with a known counter, the simulator
+//! replays the counter alone in native integers. If the condition would
+//! hold for more trips than the remaining budget can pay for (every trip
+//! costs at least three instructions), or holds on a cycle of the step
+//! such as a fixed point, the run returns [`SimError::EventBudgetExhausted`] at once: the
+//! error the full run would reach, since nothing else executes before
+//! the process yields. Steps skipped this way are not counted.
 
 use crate::design::*;
 use crate::error::SimError;
@@ -37,7 +52,9 @@ pub struct SimLimits {
     /// [`SimError::DeltaOverflow`].
     pub max_deltas: usize,
     /// Max total executed instructions before
-    /// [`SimError::EventBudgetExhausted`].
+    /// [`SimError::EventBudgetExhausted`]. A run may fail at the entry
+    /// of a counted loop that is certain to pass this budget (see the
+    /// module docs); the steps it skips are not counted.
     pub max_steps: u64,
     /// Simulation stops (cleanly) at this time if `$finish` never runs.
     pub max_time: u64,
@@ -232,7 +249,8 @@ impl<'d> Simulator<'d> {
     ///
     /// [`SimError::DeltaOverflow`] on combinational loops,
     /// [`SimError::EventBudgetExhausted`] when the instruction budget runs
-    /// out (runaway zero-delay loops).
+    /// out (runaway zero-delay loops) or a counted loop is entered that
+    /// is certain to run it out.
     pub fn run(&mut self) -> Result<SimOutput, SimError> {
         let _span = correctbench_obs::span(correctbench_obs::Phase::Simulate);
         let Simulator { design, state } = self;
@@ -254,6 +272,19 @@ impl<'d> Simulator<'d> {
             correctbench_obs::Counter::NbaCommits,
             std::mem::take(&mut state.nba_commits),
         );
+        correctbench_obs::add(
+            correctbench_obs::Counter::SimLoopShortcuts,
+            std::mem::take(&mut state.loop_shortcuts),
+        );
+        match &out {
+            Err(SimError::EventBudgetExhausted) => {
+                correctbench_obs::add(correctbench_obs::Counter::SimExhaustedRuns, 1)
+            }
+            Err(SimError::DeltaOverflow { .. }) => {
+                correctbench_obs::add(correctbench_obs::Counter::SimOverflowRuns, 1)
+            }
+            _ => {}
+        }
         out
     }
 
@@ -297,6 +328,9 @@ struct SimState {
     /// NBA commits applied since the last observability flush
     /// (measurement only).
     nba_commits: u64,
+    /// Counted-loop entries failed early since the last observability
+    /// flush (measurement only).
+    loop_shortcuts: u64,
 }
 
 impl SimState {
@@ -336,6 +370,7 @@ impl SimState {
             steps: 0,
             events: 0,
             nba_commits: 0,
+            loop_shortcuts: 0,
         }
     }
 
@@ -370,6 +405,7 @@ impl SimState {
         self.steps = 0;
         self.events = 0;
         self.nba_commits = 0;
+        self.loop_shortcuts = 0;
     }
 
     /// Fails the run if the optional wall-clock deadline has passed.
@@ -495,6 +531,10 @@ impl SimState {
     }
 
     fn run_process(&mut self, design: &Design, i: usize) -> Result<(), SimError> {
+        let loops = &design.processes[i].loops;
+        // The pc executed just before this one in this activation, so a
+        // loop head can tell entry from its own back edge.
+        let mut prev_pc = usize::MAX;
         loop {
             self.steps += 1;
             if self.steps > self.limits.max_steps {
@@ -520,6 +560,12 @@ impl SimState {
                     self.procs[i].pc = pc + 1;
                 }
                 Instr::JumpIfFalse(cond, target) => {
+                    if let Some(l) = loops.iter().find(|l| l.head == pc) {
+                        if prev_pc != l.back_edge && self.loop_must_exhaust(l) {
+                            self.loop_shortcuts += 1;
+                            return Err(SimError::EventBudgetExhausted);
+                        }
+                    }
                     let store = self.store();
                     let t = eval(cond, cond.width, &store).truthy();
                     self.procs[i].pc = if t == Bit::One { pc + 1 } else { *target };
@@ -591,7 +637,22 @@ impl SimState {
                     return Ok(());
                 }
             }
+            prev_pc = pc;
         }
+    }
+
+    /// Whether the counted loop `l`, whose head has just been counted on
+    /// entry, is certain to exhaust the step budget. Every trip executes
+    /// at least the head, the step and the back edge, so a condition
+    /// that holds for `remaining / 3 + 1` consecutive trips takes the
+    /// run past `max_steps` before the loop can exit; nothing else runs
+    /// in between, since the body cannot yield or `$finish`.
+    fn loop_must_exhaust(&self, l: &CountedLoop) -> bool {
+        let Some(start) = self.values[l.var.0 as usize].to_u64() else {
+            return false;
+        };
+        let remaining = self.limits.max_steps.saturating_sub(self.steps);
+        l.outruns(start, remaining / 3 + 1)
     }
 
     fn render(&self, args: &[RSysArg], skip: usize) -> String {

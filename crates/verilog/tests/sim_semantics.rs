@@ -205,3 +205,221 @@ fn step_budget_boundary_is_exact() {
         "N - 1 steps must exhaust the budget, got {short:?}"
     );
 }
+
+// ---- counted-loop shortcut ----
+
+/// Runs `design` under `max_steps` with a collector armed, returning the
+/// result and the run's counters.
+fn run_observed(
+    design: &correctbench_verilog::Design,
+    max_steps: u64,
+) -> (
+    Result<correctbench_verilog::SimOutput, SimError>,
+    correctbench_obs::JobObs,
+) {
+    let _obs = correctbench_obs::ObsStack::enabled().install();
+    let limits = SimLimits {
+        max_steps,
+        ..SimLimits::default()
+    };
+    let result = Simulator::with_limits(design, limits).run();
+    (
+        result,
+        correctbench_obs::take_job().expect("collector armed"),
+    )
+}
+
+fn design_of(src: &str) -> correctbench_verilog::Design {
+    elaborate(&parse(src).expect("parse"), "tb").expect("elab")
+}
+
+fn marked_loops(design: &correctbench_verilog::Design) -> usize {
+    design.processes.iter().map(|p| p.loops.len()).sum()
+}
+
+/// A `priority_enc_8`-style testbench whose combinational loop has the
+/// given header, as mutants of the sweep carry them.
+fn priority_loop(header: &str) -> String {
+    format!(
+        "module tb;\ninteger i;\nreg [7:0] req;\nreg [2:0] y;\ninitial begin\nreq = 8'b0010_0100;\ny = 0;\nfor ({header}) if (req[i]) y = i;\n$display(\"y=%0d\", y);\nend\nendmodule"
+    )
+}
+
+const BUDGET: u64 = 200_000;
+
+#[test]
+fn runaway_counted_loops_fail_at_entry() {
+    for header in [
+        // Counts down against an upper bound: wraps all 32 bits first.
+        "i = 0; i < 8; i = i - 1",
+        // Fixed points of the step.
+        "i = 0; i < 8; i = i + 0",
+        "i = 0; i < 8; i = i | 1",
+        "i = 0; i < 8; i = i & 1",
+        // A mutated bound far past the budget.
+        "i = 0; i < 268435463; i = i + 1",
+    ] {
+        let design = design_of(&priority_loop(header));
+        assert_eq!(marked_loops(&design), 1, "`{header}` is a counted loop");
+        let (result, obs) = run_observed(&design, BUDGET);
+        assert!(
+            matches!(result, Err(SimError::EventBudgetExhausted)),
+            "`{header}`: {result:?}"
+        );
+        assert_eq!(obs.counter(correctbench_obs::Counter::SimLoopShortcuts), 1);
+        assert_eq!(obs.counter(correctbench_obs::Counter::SimExhaustedRuns), 1);
+        // Failed at entry: only the prologue and the head executed.
+        assert!(
+            obs.counter(correctbench_obs::Counter::SimInstrs) < 10,
+            "`{header}` ran {obs:?}"
+        );
+    }
+}
+
+/// A testbench whose initial block runs `stmt` and then displays `y`.
+fn loop_tb(stmt: &str) -> String {
+    format!(
+        "module tb;\ninteger i, n;\nreg [7:0] req;\nreg [2:0] y;\ninitial begin\nreq = 8'b0010_0100;\nn = 8;\ny = 0;\n{stmt}\n$display(\"y=%0d\", y);\nend\nendmodule"
+    )
+}
+
+#[test]
+fn loops_that_break_the_pattern_stay_unmarked() {
+    for (why, stmt) in [
+        (
+            "the body writes the counter",
+            "for (i = 0; i < 8; i = i - 1) begin if (req[i]) y = i; i = i + 0; end",
+        ),
+        (
+            "the body delays",
+            "for (i = 0; i < 8; i = i - 1) #1 y = y + 1;",
+        ),
+        (
+            "the condition reads a second signal",
+            "for (i = 0; i < n; i = i - 1) y = y + 1;",
+        ),
+    ] {
+        let design = design_of(&loop_tb(stmt));
+        assert_eq!(marked_loops(&design), 0, "{why}");
+        let (result, obs) = run_observed(&design, BUDGET);
+        assert!(
+            matches!(result, Err(SimError::EventBudgetExhausted)),
+            "{why}: {result:?}"
+        );
+        assert_eq!(obs.counter(correctbench_obs::Counter::SimLoopShortcuts), 0);
+        assert_eq!(obs.counter(correctbench_obs::Counter::SimExhaustedRuns), 1);
+        assert_eq!(
+            obs.counter(correctbench_obs::Counter::SimInstrs),
+            BUDGET + 1,
+            "{why}: the budget was spent"
+        );
+    }
+}
+
+#[test]
+fn a_finish_in_the_body_keeps_the_loop_unmarked() {
+    // Marking this loop would fail a run that `$finish`es on its first
+    // trip.
+    let design = design_of(&loop_tb(
+        "for (i = 0; i < 8; i = i - 1) if (req[i + 2]) $finish;",
+    ));
+    assert_eq!(marked_loops(&design), 0);
+    let (result, obs) = run_observed(&design, BUDGET);
+    assert!(result.expect("finishes").finished);
+    assert_eq!(obs.counter(correctbench_obs::Counter::SimLoopShortcuts), 0);
+}
+
+#[test]
+fn an_unknown_counter_never_fires() {
+    // Marked, but entered with `i` still x: the head sees an x condition
+    // and leaves, exactly as before.
+    let design = design_of(
+        "module tb;\ninteger i;\nreg [2:0] y;\ninitial begin\ny = 0;\nwhile (i < 8) i = i - 1;\n$display(\"y=%0d i=%0d\", y, i);\nend\nendmodule",
+    );
+    assert_eq!(marked_loops(&design), 1);
+    let (result, obs) = run_observed(&design, BUDGET);
+    assert_eq!(result.expect("completes").lines, vec!["y=0 i=x"]);
+    assert_eq!(obs.counter(correctbench_obs::Counter::SimLoopShortcuts), 0);
+}
+
+#[test]
+fn honest_counted_loop_runs_as_before() {
+    let mut design = design_of(&priority_loop("i = 0; i < 8; i = i + 1"));
+    assert_eq!(marked_loops(&design), 1);
+    let (result, obs) = run_observed(&design, BUDGET);
+    let out = result.expect("completes");
+    assert_eq!(out.lines, vec!["y=5"]);
+    assert_eq!(obs.counter(correctbench_obs::Counter::SimLoopShortcuts), 0);
+    assert_eq!(obs.counter(correctbench_obs::Counter::SimExhaustedRuns), 0);
+
+    for p in &mut design.processes {
+        p.loops.clear();
+    }
+    let (unmarked, unmarked_obs) = run_observed(&design, BUDGET);
+    assert_eq!(unmarked.expect("completes").lines, out.lines);
+    assert_eq!(
+        unmarked_obs.counter(correctbench_obs::Counter::SimInstrs),
+        obs.counter(correctbench_obs::Counter::SimInstrs)
+    );
+}
+
+#[test]
+fn cumulative_exhaustion_fires_only_in_the_last_activation() {
+    // An 8-trip loop per clock edge completes every activation; only the
+    // budget left for the last one can be too small for it.
+    let src = "module tb;\nreg clk = 0;\ninteger i;\nreg [7:0] n;\nalways @(posedge clk) for (i = 0; i < 8; i = i + 1) n = n + 1;\ninitial begin\nn = 0;\nrepeat (6) begin #1 clk = 1; #1 clk = 0; end\n$display(\"n=%0d\", n);\n$finish;\nend\nendmodule";
+    let design = design_of(src);
+    assert_eq!(marked_loops(&design), 1, "the delayed repeat is unmarked");
+    let (full, full_obs) = run_observed(&design, BUDGET);
+    assert_eq!(full.expect("completes").lines, vec!["n=48"]);
+    let total = full_obs.counter(correctbench_obs::Counter::SimInstrs);
+
+    let mut unmarked = design.clone();
+    for p in &mut unmarked.processes {
+        p.loops.clear();
+    }
+    // The full budget completes: no activation fired on the way.
+    assert_eq!(
+        full_obs.counter(correctbench_obs::Counter::SimLoopShortcuts),
+        0
+    );
+    // Short of it, every run exhausts inside some activation's loop or
+    // just after; the shortcut may fire only where the unmarked run
+    // exhausts too, and it must fire for the budgets that cannot pay for
+    // a whole 8-trip loop (8 * 4 + 1 = 33 instructions).
+    let mut fired = 0;
+    for budget in total - 60..total {
+        let (result, obs) = run_observed(&design, budget);
+        let (reference, _) = run_observed(&unmarked, budget);
+        assert_eq!(
+            format!("{result:?}"),
+            format!("{reference:?}"),
+            "budget {budget}"
+        );
+        if obs.counter(correctbench_obs::Counter::SimLoopShortcuts) == 1 {
+            fired += 1;
+            // It fired in the activation whose loop the unmarked run
+            // exhausts in: within one loop's worth of the budget.
+            let executed = obs.counter(correctbench_obs::Counter::SimInstrs);
+            assert!(
+                executed <= budget && budget - executed < 33,
+                "budget {budget}: fired after {executed} instructions"
+            );
+        }
+    }
+    assert!(fired > 0, "no activation's entry ever fired");
+}
+
+#[test]
+fn narrow_counter_wraps_before_a_wider_compare() {
+    // `i` is 4 bits, so `0 - 1` is 15 and the 8-bit test `i != 15` fails
+    // on the second trip; a step replayed without wrapping at 4 bits
+    // would never reach 15 and fire.
+    let design = design_of(
+        "module tb;\nreg [3:0] i;\nreg [7:0] o;\ninitial begin\no = 0;\nfor (i = 0; i != 8'd15; i = i - 1) o = o + 1;\n$display(\"i=%0d o=%0d\", i, o);\nend\nendmodule",
+    );
+    assert_eq!(marked_loops(&design), 1);
+    let (result, obs) = run_observed(&design, 20);
+    assert_eq!(result.expect("completes").lines, vec!["i=15 o=1"]);
+    assert_eq!(obs.counter(correctbench_obs::Counter::SimLoopShortcuts), 0);
+}
