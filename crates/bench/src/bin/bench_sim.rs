@@ -8,11 +8,15 @@
 //! * `judge_interp_ns` vs `judge_session_ns` — judging one pre-captured
 //!   record stream with the interpreter (`judge_records`) and with the
 //!   session's compiled checker.
-//! * `key_debug_hash_ns` vs `key_fingerprint_ns` — building one full
-//!   simulation-cache key with the retired rendering hashes
-//!   (pretty-print / `Debug` FNV) and with the `StructuralHash` visitor
-//!   fingerprints (computed fresh, i.e. the `OnceLock` miss cost; a
-//!   steady-state probe on a cached `SourceFile` is two u64 reads).
+//! * `pair_elaborate_ns` vs `pair_link_ns` — the design of one
+//!   (DUT, driver) pair built by elaborating the concatenated sources
+//!   (`elaborate_pair`, the monolithic reference) and by linking the DUT
+//!   into the once-prepared driver (`PreparedTestbench::link`, what an
+//!   `EvalSession` pays per new DUT).
+//! * `key_fingerprint_ns` — the absolute cost of one full
+//!   simulation-cache key from the `StructuralHash` visitor fingerprints
+//!   (computed fresh, i.e. the `OnceLock` miss cost; a steady-state
+//!   probe on a cached `SourceFile` is two u64 reads).
 //! * `session_fresh_ns` vs `session_pooled_ns` — acquiring an
 //!   evaluation session by constructing it (checker compile + binding
 //!   resolution, the per-job cost the validator and AutoEval used to
@@ -73,10 +77,11 @@ use correctbench_obs::ObsStack;
 use correctbench_tbgen::{
     acquire_session, elaborate_pair, generate_driver, generate_scenarios, judge_records,
     limits_for, module_interface_fingerprint, CacheStack, EvalContext, EvalSession, GoldenCache,
-    ScenarioSet,
+    ScenarioSet, TB_MODULE,
 };
 use correctbench_verilog::ast::SourceFile;
-use correctbench_verilog::hash::{debug_hash, structural_hash, StructuralHash};
+use correctbench_verilog::elaborate::PreparedTestbench;
+use correctbench_verilog::hash::StructuralHash;
 use correctbench_verilog::{lint_file, parse, Design, SimError, SimLimits, Simulator};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -185,10 +190,10 @@ const SPEEDUPS: &[(&str, &str, &str, &str)] = &[
         "judge_session",
     ),
     (
-        "speedup_key_fingerprint",
-        "median_speedup_key_fingerprint_vs_debug_hash",
-        "key_debug_hash",
-        "key_fingerprint",
+        "speedup_pair_link",
+        "median_speedup_pair_link_vs_elaborate",
+        "pair_elaborate",
+        "pair_link",
     ),
     (
         "speedup_session_pooled",
@@ -306,6 +311,7 @@ fn main() {
                 .expect("simulation ok");
             correctbench_tbgen::parse_records(&out.lines)
         };
+        let prepared = PreparedTestbench::new(case.driver.clone(), TB_MODULE);
         let mut sweep_session =
             EvalSession::new(&case.problem, &case.checker).expect("checker compiles");
         let mut judge_session =
@@ -374,20 +380,20 @@ fn main() {
                             .expect("judge ok"),
                     );
                 }),
-                ("key_debug_hash", &mut || {
-                    // One full cache key the retired way: render the
-                    // artifacts and FNV the streams.
-                    std::hint::black_box((
-                        structural_hash(&case.dut),
-                        structural_hash(&case.driver),
-                        debug_hash(&case.checker),
-                        debug_hash(&case.scenarios),
-                        debug_hash(&(case.problem.name.as_str(), &case.problem.ports)),
-                    ));
+                ("pair_elaborate", &mut || {
+                    // Concatenate the sources and elaborate them whole.
+                    std::hint::black_box(
+                        elaborate_pair(&case.dut, &case.driver).expect("elaborate"),
+                    );
+                }),
+                ("pair_link", &mut || {
+                    // Link the DUT into the prepared driver.
+                    std::hint::black_box(prepared.link(&case.dut).expect("link"));
                 }),
                 ("key_fingerprint", &mut || {
-                    // The same key via visitor fingerprints, computed
-                    // fresh (trait call bypasses the SourceFile cache).
+                    // One full cache key via visitor fingerprints,
+                    // computed fresh (trait call bypasses the
+                    // SourceFile cache).
                     std::hint::black_box((
                         StructuralHash::fingerprint(&case.dut),
                         StructuralHash::fingerprint(&case.driver),

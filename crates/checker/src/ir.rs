@@ -433,8 +433,11 @@ mod tests {
     /// scheme), across compiled golden checkers and IR mutants.
     #[test]
     fn fingerprint_tracks_the_debug_hash_oracle() {
-        use correctbench_verilog::hash::debug_hash;
         use rand::SeedableRng;
+        /// The `Debug`-rendering oracle: FNV-1a over the rendering.
+        fn debug_hash<T: std::fmt::Debug>(value: &T) -> u64 {
+            correctbench_verilog::hash::fnv1a64(format!("{value:?}").as_bytes())
+        }
 
         let srcs = [
             "module m(input [3:0] a, input [3:0] b, output [3:0] y);\nassign y = a + b;\nendmodule\n",

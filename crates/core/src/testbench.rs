@@ -2,6 +2,7 @@
 
 use correctbench_llm::CheckerArtifact;
 use correctbench_tbgen::ScenarioSet;
+use correctbench_verilog::ast::SourceFile;
 
 /// A complete hybrid testbench: scenario list, Verilog driver, and
 /// checker (reference model).
@@ -19,7 +20,19 @@ impl HybridTb {
     /// `true` when both tracks are syntactically sound (the Eval0
     /// condition): the driver parses and the checker is not broken.
     pub fn is_syntactically_valid(&self) -> bool {
-        !self.checker.broken && correctbench_verilog::parse(&self.driver).is_ok()
+        self.parse_driver().is_some()
+    }
+
+    /// The parsed driver when both tracks are syntactically sound (see
+    /// [`HybridTb::is_syntactically_valid`]), `None` otherwise. The
+    /// checker is tested first, so a broken checker costs no parse. The
+    /// validator's syntax gate and its RS-matrix sweep share this one
+    /// parse.
+    pub fn parse_driver(&self) -> Option<SourceFile> {
+        if self.checker.broken {
+            return None;
+        }
+        correctbench_verilog::parse(&self.driver).ok()
     }
 
     /// Scenario indexes (1-based) whose stimulus stanza is present in the

@@ -14,6 +14,7 @@ use crate::testbench::HybridTb;
 use correctbench_dataset::Problem;
 use correctbench_llm::{BugReport, LlmClient, LlmRequest, LlmResponse};
 use correctbench_tbgen::ScenarioResult;
+use correctbench_verilog::ast::SourceFile;
 use std::fmt;
 
 /// One RS-matrix cell.
@@ -168,7 +169,8 @@ pub fn validate(
 ) -> Validation {
     let _span = correctbench_obs::span(correctbench_obs::Phase::Validate);
     // A testbench that cannot even run is wrong with no usable bug info.
-    if !tb.is_syntactically_valid() {
+    // The gate's parse is the one the matrix sweep runs.
+    let Some(driver) = tb.parse_driver() else {
         let ns = tb.scenarios.len();
         return Validation {
             verdict: Verdict::Wrong(BugReport {
@@ -178,10 +180,10 @@ pub fn validate(
             }),
             matrix: RsMatrix::default(),
         };
-    }
+    };
 
     let rtls = generate_rtl_group_parsed(problem, llm, cfg);
-    let matrix = build_rs_matrix_parsed(problem, tb, &rtls);
+    let matrix = build_rs_matrix_parsed(problem, tb, &driver, &rtls);
     let mut verdict = judge(&matrix, cfg);
 
     // Experimental coverage gate (paper future work): a clean RS matrix
@@ -222,7 +224,7 @@ pub fn generate_rtl_group_parsed(
     problem: &Problem,
     llm: &mut dyn LlmClient,
     cfg: &Config,
-) -> Vec<(String, correctbench_verilog::ast::SourceFile)> {
+) -> Vec<(String, SourceFile)> {
     let target = cfg.num_validation_rtls;
     let mut clean = Vec::with_capacity(target);
     let mut attempts = 0;
@@ -244,22 +246,28 @@ pub fn generate_rtl_group_parsed(
 }
 
 /// Simulates every RTL under the testbench and assembles the RS matrix.
-/// The source-level entry point: each RTL is parsed here (an unparseable
-/// one yields an all-`Unknown` row, like any other failed run). The
-/// validator itself goes through [`build_rs_matrix_parsed`] with the
-/// parses its syntax gate already produced.
+/// The source-level entry point: the driver and each RTL are parsed here
+/// (an unparseable driver yields an all-`Unknown` matrix, an unparseable
+/// RTL an all-`Unknown` row, like any other failed run). The validator
+/// itself goes through [`build_rs_matrix_parsed`] with the parses its
+/// syntax gates already produced.
 pub fn build_rs_matrix(problem: &Problem, tb: &HybridTb, rtls: &[String]) -> RsMatrix {
     let ns = tb.scenarios.len();
-    let parsed: Vec<Option<correctbench_verilog::ast::SourceFile>> = rtls
+    let parsed: Vec<Option<SourceFile>> = rtls
         .iter()
         .map(|rtl| correctbench_verilog::parse(rtl).ok())
         .collect();
-    let group: Vec<(String, correctbench_verilog::ast::SourceFile)> = parsed
+    let Ok(driver) = correctbench_verilog::parse(&tb.driver) else {
+        return RsMatrix {
+            rows: vec![vec![RsCell::Unknown; ns]; rtls.len()],
+        };
+    };
+    let group: Vec<(String, SourceFile)> = parsed
         .iter()
         .zip(rtls)
         .filter_map(|(file, src)| file.clone().map(|f| (src.clone(), f)))
         .collect();
-    let swept = build_rs_matrix_parsed(problem, tb, &group);
+    let swept = build_rs_matrix_parsed(problem, tb, &driver, &group);
     // Re-interleave unparseable sources as Unknown rows so row indices
     // still line up with the caller's list.
     let mut swept_rows = swept.rows.into_iter();
@@ -275,49 +283,45 @@ pub fn build_rs_matrix(problem: &Problem, tb: &HybridTb, rtls: &[String]) -> RsM
     RsMatrix { rows }
 }
 
-/// [`build_rs_matrix`] over the already-parsed group the validator's
-/// syntax gate produced ([`generate_rtl_group_parsed`]). The driver is
-/// parsed once and the whole group runs through one
-/// [`correctbench_tbgen::EvalSession`], acquired via
+/// [`build_rs_matrix`] over the parses the validator's syntax gates
+/// produced: `tb`'s driver ([`HybridTb::parse_driver`]) and the RTL
+/// group ([`generate_rtl_group_parsed`]). The whole group runs through
+/// one [`correctbench_tbgen::EvalSession`] sweep, acquired via
 /// [`correctbench_tbgen::acquire_session`]: under a harness-installed
 /// [`correctbench_tbgen::CacheStack`] the checker compile and record
 /// bindings are paid once per `(problem, checker)` fingerprint pair
-/// *across jobs*, not once per matrix — and never once per row.
+/// *across jobs*, the driver's elaboration and the scenario fingerprint
+/// once per matrix, and each row pays only for its own DUT.
 pub fn build_rs_matrix_parsed(
     problem: &Problem,
     tb: &HybridTb,
-    rtls: &[(String, correctbench_verilog::ast::SourceFile)],
+    driver: &SourceFile,
+    rtls: &[(String, SourceFile)],
 ) -> RsMatrix {
     let ns = tb.scenarios.len();
-    let unknown_matrix = || RsMatrix {
-        rows: vec![vec![RsCell::Unknown; ns]; rtls.len()],
-    };
-    let Ok(driver) = correctbench_verilog::parse(&tb.driver) else {
-        return unknown_matrix();
-    };
     let Ok(mut session) = correctbench_tbgen::acquire_session(problem, &tb.checker.program) else {
         // A checker the judge cannot even compile fails every row, the
         // same verdict the per-row interpreter produced.
-        return unknown_matrix();
+        return RsMatrix {
+            rows: vec![vec![RsCell::Unknown; ns]; rtls.len()],
+        };
     };
-    let mut rows = Vec::with_capacity(rtls.len());
-    for (_, dut) in rtls {
-        let row = session
-            .run(dut, &driver, &tb.scenarios)
-            .ok()
-            .map(|run| {
-                run.results
-                    .iter()
-                    .map(|r| match r {
-                        ScenarioResult::Pass => RsCell::Correct,
-                        ScenarioResult::Fail => RsCell::Wrong,
-                        ScenarioResult::Missing => RsCell::Unknown,
-                    })
-                    .collect()
-            })
-            .unwrap_or_else(|| vec![RsCell::Unknown; ns]);
-        rows.push(row);
-    }
+    let rows = session
+        .sweep_mutants(rtls.iter().map(|(_, dut)| dut), driver, &tb.scenarios)
+        .into_iter()
+        .map(|run| match run {
+            Ok(run) => run
+                .results
+                .iter()
+                .map(|r| match r {
+                    ScenarioResult::Pass => RsCell::Correct,
+                    ScenarioResult::Fail => RsCell::Wrong,
+                    ScenarioResult::Missing => RsCell::Unknown,
+                })
+                .collect(),
+            Err(_) => vec![RsCell::Unknown; ns],
+        })
+        .collect();
     RsMatrix { rows }
 }
 

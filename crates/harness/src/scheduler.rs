@@ -380,7 +380,6 @@ mod tests {
             key,
             Ok(correctbench_tbgen::TbRun {
                 results: Vec::new(),
-                records: Vec::new(),
                 end_time: 0,
             }),
         );

@@ -15,7 +15,7 @@ use correctbench_dataset::CircuitKind;
 use correctbench_llm::{
     ClientFactory, FaultyTransport, LlmClient, ModelKind, RetryPolicy, Retrying, TokenUsage,
 };
-use correctbench_obs::Counter;
+use correctbench_obs::{Counter, Phase};
 use correctbench_tbgen::{install_budget, AbortKind, JobAbort, JobBudget};
 use correctbench_verilog::Diagnostic;
 use rand::rngs::StdRng;
@@ -197,20 +197,32 @@ fn run_job_inner(
     lint_mode: LintMode,
 ) -> TaskOutcome {
     let t0 = Instant::now();
-    lint_golden_gate(job, lint_mode);
-    let mut llm = build_client(factory, job.seed, fault);
-    let mut rng = StdRng::seed_from_u64(job.seed ^ 0x777);
-    let outcome = run_method(job.method, &job.problem, &mut *llm, cfg, &mut rng);
-    let tb = EvalTb {
-        scenarios: outcome.tb.scenarios.clone(),
-        driver: outcome.tb.driver.clone(),
-        checker: outcome.tb.checker.clone(),
+    // The whole job runs under phase spans, so its phase times cover its
+    // wall time up to a few clock reads: the generation method's own
+    // work around its LLM requests (client set-up, response handling,
+    // clones and drops) counts as `llm`, the evaluation's set-up as
+    // `autoeval`. Nested spans still take their exclusive share.
+    let outcome = {
+        let _generation = correctbench_obs::span(Phase::Llm);
+        lint_golden_gate(job, lint_mode);
+        let mut llm = build_client(factory, job.seed, fault);
+        let mut rng = StdRng::seed_from_u64(job.seed ^ 0x777);
+        run_method(job.method, &job.problem, &mut *llm, cfg, &mut rng)
     };
-    // The static-analysis gate sits between generation and evaluation:
-    // under `--lint=gate` a deny-level finding unwinds here, before the
-    // first simulation.
-    let lint = lint_pass(job, &tb.driver, lint_mode);
-    let level = evaluate(&job.problem, &tb, job.eval_seed);
+    let (lint, level) = {
+        let _evaluation = correctbench_obs::span(Phase::Autoeval);
+        let tb = EvalTb {
+            scenarios: outcome.tb.scenarios.clone(),
+            driver: outcome.tb.driver.clone(),
+            checker: outcome.tb.checker.clone(),
+        };
+        // The static-analysis gate sits between generation and
+        // evaluation: under `--lint=gate` a deny-level finding unwinds
+        // here, before the first simulation.
+        let lint = lint_pass(job, &tb.driver, lint_mode);
+        (lint, evaluate(&job.problem, &tb, job.eval_seed))
+    };
+    let wall = t0.elapsed();
     TaskOutcome {
         job_id: job.id,
         problem: job.problem.name.clone(),
@@ -229,7 +241,7 @@ fn run_job_inner(
         validator_intervened: outcome.validator_intervened,
         trace: outcome.trace,
         tokens: outcome.tokens,
-        wall: t0.elapsed(),
+        wall,
         // Drain (and rearm) the thread's collector while this job's
         // guard is still installed — the snapshot is exactly this job's
         // spans and counters.

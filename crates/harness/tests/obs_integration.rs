@@ -10,9 +10,7 @@ use correctbench_obs::{Counter, Phase};
 use std::sync::{Mutex, MutexGuard};
 
 /// Serializes the tests of this file. Each runs a multi-threaded sweep;
-/// run concurrently on a small machine they oversubscribe the CPUs, and
-/// a preemption outside every span can leave a short job under half
-/// covered.
+/// run concurrently on a small machine they oversubscribe the CPUs.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 /// Holds [`SERIAL`] for one test (a failed test must not poison the
@@ -41,9 +39,11 @@ fn every_job_carries_phase_times_that_sum_close_to_wall() {
         let wall_ns = o.wall.as_nanos() as u64;
         let covered = obs.total_phase_ns();
         // Exclusive attribution: no double counting, so coverage can
-        // only exceed wall by clock-read jitter. The lower bound is
-        // deliberately loose for CI noise on very fast jobs; the
-        // acceptance smoke run checks the tight 10% criterion.
+        // only exceed wall by clock-read jitter. The worker runs the
+        // whole job under spans, so a preemption anywhere in it is
+        // covered time; the lower bound is deliberately loose for CI
+        // noise on very fast jobs, and the acceptance smoke run checks
+        // the tight 10% criterion.
         assert!(
             covered <= wall_ns + wall_ns / 10,
             "job {}: phases sum past wall: {covered} > {wall_ns}",

@@ -22,6 +22,7 @@ use crate::tokens::{estimate_tokens, TokenUsage};
 use correctbench_checker::{compile_module, mutate_ir_once};
 use correctbench_dataset::Problem;
 use correctbench_tbgen::{generate_driver, generate_scenarios, ScenarioSet};
+use correctbench_verilog::ast::SourceFile;
 use correctbench_verilog::corrupt::corrupt_source;
 use correctbench_verilog::mutate::mutate_module;
 use correctbench_verilog::pretty::print_file;
@@ -41,6 +42,9 @@ pub struct SimulatedLlm {
     repair_cache: HashMap<u64, String>,
     /// Per-task systematic-misunderstanding state, drawn once per task.
     confusion: HashMap<String, bool>,
+    /// Parsed golden RTL per problem name, with the source it was parsed
+    /// from: every generated RTL mutates a clone of it.
+    goldens: HashMap<String, (String, SourceFile)>,
 }
 
 fn hash_str(s: &str) -> u64 {
@@ -58,6 +62,7 @@ impl SimulatedLlm {
             usage: TokenUsage::new(),
             repair_cache: HashMap::new(),
             confusion: HashMap::new(),
+            goldens: HashMap::new(),
         }
     }
 
@@ -95,14 +100,28 @@ impl SimulatedLlm {
     }
 
     fn gen_rtl(&mut self, problem: &Problem, lambda: f64, syntax_rate: f64) -> String {
-        let mut file = correctbench_verilog::parse(&problem.golden_rtl)
-            .expect("golden RTL parses by dataset invariant");
+        let mut file = self.golden(problem).clone();
         let k = self.sample_defects(lambda);
         if let Some(m) = file.module_mut(&problem.name) {
             mutate_module(m, &mut self.rng, k);
         }
         let pristine = print_file(&file);
         self.maybe_corrupt(pristine, syntax_rate)
+    }
+
+    /// The parsed golden RTL of `problem`, parsed on first use.
+    fn golden(&mut self, problem: &Problem) -> &SourceFile {
+        let parsed = self
+            .goldens
+            .get(&problem.name)
+            .is_some_and(|(src, _)| *src == problem.golden_rtl);
+        if !parsed {
+            let file = correctbench_verilog::parse(&problem.golden_rtl)
+                .expect("golden RTL parses by dataset invariant");
+            self.goldens
+                .insert(problem.name.clone(), (problem.golden_rtl.clone(), file));
+        }
+        &self.goldens[&problem.name].1
     }
 
     /// Whether this client systematically misunderstands `problem`

@@ -47,11 +47,12 @@ pub enum Phase {
     Simulate,
     /// Checker judging, compiled or interpreted.
     Judge,
-    /// LLM request round-trips.
+    /// LLM request round-trips, and a job's generation work around
+    /// them (the harness worker charges the method's own glue here).
     Llm,
     /// CorrectBench validator verdicts.
     Validate,
-    /// AutoEval Eval0/1/2 ladder.
+    /// AutoEval Eval0/1/2 ladder, and a job's evaluation set-up.
     Autoeval,
     /// Static RTL analysis (`verilog::lint`).
     Lint,

@@ -8,7 +8,7 @@
 //! against the same ten Eval2 mutants, and validator RTL groups resample
 //! the same low-mutation designs again and again.
 //!
-//! A [`SimCache`] memoizes those runs under a stable content key
+//! A [`SimCache`] memoizes those runs' verdicts under a stable content key
 //! ([`CacheKey`]): the structural hashes of the elaboratable DUT source,
 //! the driver source, the checker program and the scenario set, plus the
 //! problem's port signature (record judging reads port widths from it).
@@ -147,10 +147,10 @@ impl std::fmt::Display for CacheStats {
 
 /// Maximum entries one shard holds before cold entries are evicted.
 /// Most validator RS-matrix rows simulate a freshly-generated RTL whose
-/// key never recurs; the bound keeps those single-use entries (each
-/// holding a full record stream) from growing the cache for the whole
-/// run, while the hit-producing entries — golden-testbench / Eval2
-/// repeats — are revisited and therefore survive eviction.
+/// key never recurs; the bound keeps those single-use entries (each a
+/// run's verdicts) from growing the cache for the whole run, while the
+/// hit-producing entries — golden-testbench / Eval2 repeats — are
+/// revisited and therefore survive eviction.
 pub const MAX_ENTRIES_PER_SHARD: usize = 2048;
 
 struct Entry {
@@ -247,7 +247,6 @@ mod tests {
     fn dummy_run() -> Result<TbRun, TbError> {
         Ok(TbRun {
             results: vec![ScenarioResult::Pass],
-            records: Vec::new(),
             end_time: 10,
         })
     }
@@ -325,8 +324,7 @@ mod tests {
             (1, 1, 1),
             "repeat must hit"
         );
-        assert_eq!(first.results, second.results, "hit must replay the run");
-        assert_eq!(first.records, second.records);
+        assert_eq!(first, second, "hit must replay the run");
 
         // A different DUT misses: the key is content-addressed.
         let other = correctbench_dataset::problem("or_8")

@@ -27,13 +27,14 @@ pub enum ScenarioResult {
     Missing,
 }
 
-/// Result of running a hybrid testbench against one DUT.
-#[derive(Clone, Debug)]
+/// Result of running a hybrid testbench against one DUT: its verdicts.
+/// The record stream the driver printed is judged and dropped; the
+/// reference path [`simulate_records_limited`] returns it when a caller
+/// needs the records themselves.
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct TbRun {
     /// Verdict per scenario (index 0 holds scenario 1).
     pub results: Vec<ScenarioResult>,
-    /// Records captured from the driver.
-    pub records: Vec<Record>,
     /// Simulation end time.
     pub end_time: u64,
 }
@@ -170,9 +171,14 @@ pub(crate) fn classify_sim_err(err: SimError, binding: bool) -> VerilogError {
     }
 }
 
-/// Combines a DUT with a driver, elaborates the pair under
-/// [`crate::driver::TB_MODULE`] — the single definition of "the design
-/// a testbench run executes", shared by the runner and the benches.
+/// Combines a DUT with a driver and elaborates the pair under
+/// [`crate::driver::TB_MODULE`] — the definition of "the design a
+/// testbench run executes". Evaluation sessions never call it: they
+/// link each DUT into a once-prepared driver
+/// ([`correctbench_verilog::elaborate::PreparedTestbench`]), which is
+/// tested to produce exactly this design. It remains the monolithic
+/// reference behind [`simulate_records_limited`], the tests and the
+/// benches.
 ///
 /// # Errors
 ///

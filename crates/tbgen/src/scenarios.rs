@@ -313,7 +313,10 @@ mod tests {
     /// and agree on equal sets.
     #[test]
     fn fingerprint_tracks_the_debug_hash_oracle() {
-        use correctbench_verilog::hash::debug_hash;
+        /// The `Debug`-rendering oracle: FNV-1a over the rendering.
+        fn debug_hash<T: std::fmt::Debug>(value: &T) -> u64 {
+            correctbench_verilog::hash::fnv1a64(format!("{value:?}").as_bytes())
+        }
         let mut seen = std::collections::HashMap::new();
         let mut oracles = std::collections::HashSet::new();
         for name in ["alu_8", "counter_8", "and_8"] {

@@ -16,9 +16,11 @@
 //!   bytecode once, stepped positionally ever after;
 //! * the **record bindings** — `(checker input → record field, port
 //!   width)` resolved to indices once, not string-searched per record;
-//! * the **last-pair design memo** — the elaborated [`Design`] of the
-//!   most recent (DUT, driver) pair, the only design reuse in the
-//!   crate: a repeated pair skips combine + elaborate;
+//! * the **prepared driver** — the last driver, elaborated once into a
+//!   [`PreparedTestbench`]; every DUT run against it links only the DUT
+//!   instance into the shared driver design;
+//! * the **last-pair design memo** — the linked [`Design`] of the most
+//!   recent (DUT, driver) pair: a repeated pair skips the link too;
 //! * the **simulator** — kept while consecutive runs execute the same
 //!   elaborated [`Design`] (by `Arc` identity, which the memo provides)
 //!   and rewound with [`Simulator::reset`] instead of reconstructed;
@@ -32,13 +34,14 @@
 
 use crate::cache::{module_interface_fingerprint, CacheKey};
 use crate::record::{parse_records, Record, RecordBinding};
-use crate::runner::{elaborate_pair, limits_for, ScenarioResult, TbError, TbRun};
+use crate::runner::{limits_for, ScenarioResult, TbError, TbRun};
 use crate::scenarios::ScenarioSet;
 use correctbench_checker::{CheckerProgram, JudgeSession};
 use correctbench_dataset::Problem;
 use correctbench_verilog::ast::SourceFile;
+use correctbench_verilog::elaborate::PreparedTestbench;
 use correctbench_verilog::hash::Fingerprint;
-use correctbench_verilog::{Design, LogicVec, Simulator};
+use correctbench_verilog::{Design, LogicVec, Simulator, VerilogError};
 use std::sync::Arc;
 
 /// A reusable evaluation session for one `(problem, checker)` pair.
@@ -86,11 +89,14 @@ pub struct EvalSession {
     failed: Vec<bool>,
     /// Kept while consecutive runs share an elaborated design.
     sim: Option<Simulator<'static>>,
+    /// The last driver, prepared once: each new DUT only links into it.
+    /// Keyed, like the memo below, on [`SourceFile::fingerprint`] — the
+    /// caller's files cache their own fingerprint, so a repeated probe
+    /// is a u64 compare.
+    prepared: Option<(Fingerprint, PreparedTestbench)>,
     /// The last-pair design memo: fingerprints of the last (DUT, driver)
-    /// pair and its elaborated design. Repeated pairs — the defining
-    /// shape of a sweep — reuse the design and the simulator. Keyed on
-    /// [`SourceFile::fingerprint`]: the caller's files cache their own
-    /// fingerprint, so a repeated probe is two u64 compares.
+    /// pair and its linked design. Repeated pairs reuse the design and
+    /// the simulator.
     last_dut: Option<Fingerprint>,
     last_driver: Option<Fingerprint>,
     last_design: Option<Arc<Design>>,
@@ -145,16 +151,31 @@ impl EvalSession {
             seen: Vec::new(),
             failed: Vec::new(),
             sim: None,
+            prepared: None,
             last_dut: None,
             last_driver: None,
             last_design: None,
         })
     }
 
+    /// Drops everything tied to the last driver and DUT — the prepared
+    /// driver, the design memo and the simulator — and keeps what the
+    /// session's `(problem, checker)` pair fixes: the compiled checker,
+    /// the bindings and the judging buffers. The pool parks every
+    /// session it takes back, so an idle session holds no design.
+    pub(crate) fn park(&mut self) {
+        self.prepared = None;
+        self.sim = None;
+        self.last_dut = None;
+        self.last_driver = None;
+        self.last_design = None;
+    }
+
     /// The elaborated pair: the last-pair memo when the fingerprints
-    /// match, a fresh elaboration otherwise. Elaboration is a pure
-    /// function of the two sources, so a memo hit is semantically
-    /// identical to re-elaborating.
+    /// match, otherwise `dut` linked into the prepared driver (prepared
+    /// first when the driver changed). Linking produces exactly the
+    /// design [`crate::elaborate_pair`] produces, and both are pure
+    /// functions of the two sources, so reuse never changes a result.
     fn design(&mut self, dut: &SourceFile, driver: &SourceFile) -> Result<Arc<Design>, TbError> {
         let dut_fp = dut.fingerprint();
         let driver_fp = driver.fingerprint();
@@ -163,7 +184,14 @@ impl EvalSession {
                 return Ok(Arc::clone(design));
             }
         }
-        let design = Arc::new(elaborate_pair(dut, driver)?);
+        let prepared = match &mut self.prepared {
+            Some((fp, prepared)) if *fp == driver_fp => prepared,
+            slot => {
+                let prepared = PreparedTestbench::new(driver.clone(), crate::driver::TB_MODULE);
+                &slot.insert((driver_fp, prepared)).1
+            }
+        };
+        let design = Arc::new(prepared.link(dut).map_err(VerilogError::from)?);
         self.last_dut = Some(dut_fp);
         self.last_driver = Some(driver_fp);
         self.last_design = Some(Arc::clone(&design));
@@ -185,35 +213,52 @@ impl EvalSession {
         driver: &SourceFile,
         scenarios: &ScenarioSet,
     ) -> Result<TbRun, TbError> {
-        let key = crate::cache::with_active(|_| CacheKey {
+        let scenarios_fp = crate::cache::with_active(|_| scenarios.fingerprint());
+        self.run_cached(dut, driver, scenarios, scenarios_fp)
+    }
+
+    /// [`EvalSession::run`] with the scenario fingerprint taken by the
+    /// caller — `None` when no simulation cache is installed — so a
+    /// sweep fingerprints its scenario set once, not once per row.
+    fn run_cached(
+        &mut self,
+        dut: &SourceFile,
+        driver: &SourceFile,
+        scenarios: &ScenarioSet,
+        scenarios_fp: Option<Fingerprint>,
+    ) -> Result<TbRun, TbError> {
+        let Some(scenarios_fp) = scenarios_fp else {
+            return self.run_once(dut, driver, scenarios);
+        };
+        let key = CacheKey {
             dut: dut.fingerprint(),
             driver: driver.fingerprint(),
             checker: self.checker_fp,
-            scenarios: scenarios.fingerprint(),
+            scenarios: scenarios_fp,
             problem: self.problem_fp,
-        });
-        if let Some(key) = key {
-            if let Some(cached) = crate::cache::with_active(|c| c.get(&key)).flatten() {
-                return cached;
-            }
-            let result = self.run_once(dut, driver, scenarios);
-            crate::cache::with_active(|c| c.put(key, result.clone()));
-            return result;
+        };
+        if let Some(cached) = crate::cache::with_active(|c| c.get(&key)).flatten() {
+            return cached;
         }
-        self.run_once(dut, driver, scenarios)
+        let result = self.run_once(dut, driver, scenarios);
+        crate::cache::with_active(|c| c.put(key, result.clone()));
+        result
     }
 
     /// Sweeps one driver across many DUTs — the RS-matrix / Eval2 shape.
-    /// Setup (checker compilation, bindings) is shared; the simulator is
-    /// reused whenever consecutive DUTs elaborate to the same design.
+    /// Setup (checker compilation, bindings, the driver's elaboration,
+    /// the scenario fingerprint) is shared; each DUT pays only its own
+    /// link, simulation and judging, and the simulator is reused
+    /// whenever consecutive DUTs elaborate to the same design.
     pub fn sweep_mutants<'d>(
         &mut self,
         duts: impl IntoIterator<Item = &'d SourceFile>,
         driver: &SourceFile,
         scenarios: &ScenarioSet,
     ) -> Vec<Result<TbRun, TbError>> {
+        let scenarios_fp = crate::cache::with_active(|_| scenarios.fingerprint());
         duts.into_iter()
-            .map(|dut| self.run(dut, driver, scenarios))
+            .map(|dut| self.run_cached(dut, driver, scenarios, scenarios_fp))
             .collect()
     }
 
@@ -231,13 +276,29 @@ impl EvalSession {
     }
 
     /// The uncached run: simulate (session simulator) and judge (compiled
-    /// checker).
+    /// checker). The record stream lives only for the judging.
     pub(crate) fn run_once(
         &mut self,
         dut: &SourceFile,
         driver: &SourceFile,
         scenarios: &ScenarioSet,
     ) -> Result<TbRun, TbError> {
+        let (records, end_time) = self.simulate(dut, driver, scenarios)?;
+        Ok(TbRun {
+            results: self.judge(&records, scenarios.len())?,
+            end_time,
+        })
+    }
+
+    /// The simulation half of [`EvalSession::run_once`]: the record stream
+    /// and end time of `dut` under `driver`, on the session's design
+    /// memo and simulator — the exact stream a run judges.
+    pub(crate) fn simulate(
+        &mut self,
+        dut: &SourceFile,
+        driver: &SourceFile,
+        scenarios: &ScenarioSet,
+    ) -> Result<(Vec<Record>, u64), TbError> {
         let design = self.design(dut, driver)?;
         let (limits, binding) = crate::runner::budgeted_limits(limits_for(scenarios));
         let sim = match &mut self.sim {
@@ -251,13 +312,7 @@ impl EvalSession {
         let out = sim
             .run()
             .map_err(|e| crate::runner::classify_sim_err(e, binding))?;
-        let records = parse_records(&out.lines);
-        let results = self.judge(&records, scenarios.len())?;
-        Ok(TbRun {
-            results,
-            records,
-            end_time: out.end_time,
-        })
+        Ok((parse_records(&out.lines), out.end_time))
     }
 
     /// Judges a pre-captured record stream with the compiled checker —
@@ -334,26 +389,54 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn tb_run_eq(a: &TbRun, b: &TbRun) -> bool {
-        a.results == b.results && a.records == b.records && a.end_time == b.end_time
-    }
-
-    /// The fresh-everything reference: a new simulator per run and the
-    /// interpreted judge.
+    /// The fresh-everything reference: a new monolithic elaboration and
+    /// simulator per run and the interpreted judge. Returns the record
+    /// stream with the run.
     fn fresh_reference(
         dut: &SourceFile,
         driver: &SourceFile,
         checker: &CheckerProgram,
         problem: &Problem,
         scenarios: &ScenarioSet,
-    ) -> Result<TbRun, TbError> {
+    ) -> Result<(Vec<Record>, TbRun), TbError> {
         let (records, end_time) = simulate_records_limited(dut, driver, limits_for(scenarios))?;
         let results = judge_records(&records, checker, problem, scenarios.len())?;
-        Ok(TbRun {
-            results,
-            records,
-            end_time,
-        })
+        Ok((records, TbRun { results, end_time }))
+    }
+
+    /// Runs `dut` through `session` and checks it against the fresh
+    /// reference: the same verdicts and end time, and the same record
+    /// stream simulated on the session's own design and simulator.
+    fn check_run(
+        session: &mut EvalSession,
+        dut: &SourceFile,
+        driver: &SourceFile,
+        checker: &CheckerProgram,
+        problem: &Problem,
+        scenarios: &ScenarioSet,
+    ) -> Result<TbRun, TbError> {
+        let got = session.run(dut, driver, scenarios);
+        let simulated = session.simulate(dut, driver, scenarios);
+        match (
+            &got,
+            simulated,
+            fresh_reference(dut, driver, checker, problem, scenarios),
+        ) {
+            (Ok(run), Ok((records, end_time)), Ok((ref_records, reference))) => {
+                assert_eq!(*run, reference, "session verdicts diverged");
+                assert_eq!(end_time, reference.end_time);
+                assert!(
+                    records == ref_records,
+                    "session simulated a different record stream"
+                );
+            }
+            (Err(_), Err(_), Err(_)) => {}
+            // A checker failure is the only error the simulation half
+            // cannot see.
+            (Err(TbError::Checker(_)), Ok(_), Err(TbError::Checker(_))) => {}
+            (a, b, c) => panic!("paths disagree: {a:?} vs {b:?} vs {c:?}"),
+        }
+        got
     }
 
     /// A two-site mutant of `golden`'s `name` module.
@@ -368,7 +451,8 @@ mod tests {
 
     /// Session runs must match the fresh reference exactly — on golden
     /// DUTs, mutants, repeated DUTs (simulator reuse via reset), and
-    /// interleavings that force simulator reconstruction.
+    /// interleavings that force simulator reconstruction — and a sweep
+    /// must return what the runs return one by one.
     #[test]
     fn session_matches_fresh_reference_across_a_sweep() {
         for name in ["alu_8", "counter_8", "shift18"] {
@@ -387,18 +471,17 @@ mod tests {
             }
 
             let mut session = EvalSession::new(&p, &checker).expect("session");
-            let swept = session.sweep_mutants(duts.iter(), &driver, &scen);
-            for (dut, via_session) in duts.iter().zip(swept) {
-                let reference = fresh_reference(dut, &driver, &checker, &p, &scen);
-                match (via_session, reference) {
-                    (Ok(a), Ok(b)) => assert!(
-                        tb_run_eq(&a, &b),
-                        "{name}: session diverged from the fresh reference"
-                    ),
-                    (Err(_), Err(_)) => {}
-                    (a, b) => panic!("{name}: one path errored: {a:?} vs {b:?}"),
-                }
-            }
+            let one_by_one: Vec<_> = duts
+                .iter()
+                .map(|dut| check_run(&mut session, dut, &driver, &checker, &p, &scen).ok())
+                .collect();
+            let mut fresh = EvalSession::new(&p, &checker).expect("session");
+            let swept: Vec<_> = fresh
+                .sweep_mutants(duts.iter(), &driver, &scen)
+                .into_iter()
+                .map(Result::ok)
+                .collect();
+            assert_eq!(swept, one_by_one, "{name}: sweep diverged from runs");
         }
     }
 
@@ -415,20 +498,20 @@ mod tests {
             })
             .collect();
         let mut session = EvalSession::new(&p, &checker).expect("session");
-        for ((driver, scen), run) in schedules
-            .iter()
-            .zip(session.sweep_schedules(&dut, schedules.iter()))
-        {
-            let reference = fresh_reference(&dut, driver, &checker, &p, scen).expect("reference");
-            assert!(tb_run_eq(&run.expect("session run"), &reference));
+        let swept = session.sweep_schedules(&dut, schedules.iter());
+        for ((driver, scen), run) in schedules.iter().zip(swept) {
+            let checked = check_run(&mut session, &dut, driver, &checker, &p, scen);
+            assert_eq!(run.expect("session run"), checked.expect("checked run"));
         }
     }
 
-    /// The last-pair memo is the only design reuse: a repeated (DUT,
-    /// driver) pair keeps the same `Arc<Design>` and the simulator built
-    /// on it; a different DUT replaces both. Results never depend on it.
+    /// The driver is prepared once per driver and the last pair's design
+    /// is memoized: a repeated (DUT, driver) pair keeps the same
+    /// `Arc<Design>` and the simulator built on it; a different DUT
+    /// replaces both but keeps the prepared driver; a different driver
+    /// replaces the prepared one. Results never depend on either.
     #[test]
-    fn last_pair_memo_reuses_design_and_simulator() {
+    fn prepared_driver_and_last_pair_memo_are_reused() {
         let p = correctbench_dataset::problem("counter_8").expect("problem");
         let scen = generate_scenarios(&p, 21);
         let driver = parse(&generate_driver(&p, &scen)).expect("driver");
@@ -438,38 +521,60 @@ mod tests {
         assert_ne!(golden.fingerprint(), other.fingerprint());
 
         let mut session = EvalSession::new(&p, &checker).expect("session");
-        let run = |session: &mut EvalSession, dut: &SourceFile| {
-            let got = session.run(dut, &driver, &scen);
-            let reference = fresh_reference(dut, &driver, &checker, &p, &scen);
-            match (&got, &reference) {
-                (Ok(a), Ok(b)) => assert!(tb_run_eq(a, b), "memo changed a result"),
-                (Err(_), Err(_)) => {}
-                (a, b) => panic!("one path errored: {a:?} vs {b:?}"),
-            }
+        let run = |session: &mut EvalSession, dut: &SourceFile, driver: &SourceFile| {
+            let _ = check_run(session, dut, driver, &checker, &p, &scen);
             let design = session.last_design.clone().expect("memo filled");
             let sim = session.sim.as_ref().expect("simulator built");
             assert!(sim.shares(&design), "simulator runs the memoized design");
-            design
+            let prepared = session.prepared.as_ref().expect("driver prepared");
+            assert_eq!(prepared.0, driver.fingerprint());
+            let prepared = prepared.1.driver() as *const SourceFile;
+            (design, prepared)
         };
 
-        let first = run(&mut session, &golden);
-        let repeat = run(&mut session, &golden);
+        let (first, prepared) = run(&mut session, &golden, &driver);
+        let (repeat, _) = run(&mut session, &golden, &driver);
         assert!(
             Arc::ptr_eq(&first, &repeat),
             "a repeated pair must reuse the memoized design"
         );
-        let replaced = run(&mut session, &other);
+        let (replaced, same_prepared) = run(&mut session, &other, &driver);
         assert!(
             !Arc::ptr_eq(&first, &replaced),
             "a different DUT must replace the design"
         );
+        assert_eq!(prepared, same_prepared, "the driver is prepared once");
         let sim = session.sim.as_ref().expect("simulator");
         assert!(!sim.shares(&first), "the old simulator was replaced");
-        let back = run(&mut session, &golden);
+        let (back, _) = run(&mut session, &golden, &driver);
         assert!(
             !Arc::ptr_eq(&first, &back),
             "the memo holds one pair, not a history"
         );
+        let other_scen = generate_scenarios(&p, 22);
+        let other_driver = parse(&generate_driver(&p, &other_scen)).expect("driver");
+        let run_other = session.run(&golden, &other_driver, &other_scen);
+        let reference = fresh_reference(&golden, &other_driver, &checker, &p, &other_scen);
+        assert_eq!(run_other.ok(), reference.ok().map(|(_, run)| run));
+        let prepared_other = session.prepared.as_ref().expect("driver prepared");
+        assert_eq!(prepared_other.0, other_driver.fingerprint());
+    }
+
+    /// A parked session holds no design, yet runs exactly as before.
+    #[test]
+    fn parking_drops_designs_and_keeps_results() {
+        let p = correctbench_dataset::problem("counter_8").expect("problem");
+        let scen = generate_scenarios(&p, 8);
+        let driver = parse(&generate_driver(&p, &scen)).expect("driver");
+        let checker = compile_module(&p.golden_module()).expect("checker");
+        let dut = parse(&p.golden_rtl).expect("golden");
+        let mut session = EvalSession::new(&p, &checker).expect("session");
+        let before = check_run(&mut session, &dut, &driver, &checker, &p, &scen);
+        session.park();
+        assert!(session.prepared.is_none() && session.last_design.is_none());
+        assert!(session.sim.is_none(), "a parked session keeps no simulator");
+        let after = check_run(&mut session, &dut, &driver, &checker, &p, &scen);
+        assert_eq!(before.ok(), after.ok());
     }
 
     #[test]
@@ -486,12 +591,17 @@ mod tests {
         let mut session = EvalSession::new(&p, &checker).expect("session");
         let a = session.run(&dut, &driver, &scen).expect("first");
         let b = session.run(&dut, &driver, &scen).expect("second");
-        assert!(tb_run_eq(&a, &b));
+        assert_eq!(a, b);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
         // And the free-function wrapper hits the very same entry.
         let c = crate::run_testbench_parsed(&dut, &driver, &checker, &p, &scen).expect("wrapper");
-        assert!(tb_run_eq(&a, &c));
+        assert_eq!(a, c);
         assert_eq!(cache.stats().hits, 2);
+        // A sweep fingerprints its scenario set once and keys every row
+        // the same way: the repeated pair hits again.
+        let swept = session.sweep_mutants([&dut, &dut], &driver, &scen);
+        assert!(swept.iter().all(|r| r.as_ref().ok() == Some(&a)));
+        assert_eq!(cache.stats().hits, 4);
     }
 }

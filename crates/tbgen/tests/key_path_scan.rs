@@ -4,10 +4,11 @@
 //! The fingerprint migration's acceptance criterion is that cache
 //! probes never render an AST again — neither through `debug_hash`
 //! (FNV over the `Debug` stream) nor through `print_file` /
-//! `structural_hash` (FNV over the pretty-print). Those functions
-//! survive as test-only oracles, so the type system cannot enforce the
+//! `structural_hash` (FNV over the pretty-print). Those two survive only
+//! as helpers local to the fingerprint tests, but `print_file` is public
+//! (artifacts round-trip as text), so the type system cannot enforce the
 //! boundary; this scan does: the runtime halves of every file that
-//! builds cache or pool keys must not mention them.
+//! builds cache or pool keys must not mention any of them.
 
 const KEY_PATH_SOURCES: &[(&str, &str)] = &[
     ("cache.rs", include_str!("../src/cache.rs")),

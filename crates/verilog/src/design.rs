@@ -17,6 +17,7 @@
 
 use crate::ast::{BinaryOp, CaseKind, Edge, UnaryOp};
 use crate::logic::{Bit, LogicVec};
+use std::sync::Arc;
 
 /// Index of a signal in the flattened design.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -230,8 +231,9 @@ pub enum ProcessKind {
 pub struct ProcessDef {
     /// Initial or always.
     pub kind: ProcessKind,
-    /// Instruction list.
-    pub code: Vec<Instr>,
+    /// Instruction list, shared by every design linked from one
+    /// [`PreparedTestbench`](crate::elaborate::PreparedTestbench).
+    pub code: Arc<[Instr]>,
     /// Debug name (`initial#0`, `always#2`).
     pub name: String,
     /// The counted loops of `code` ([`counted_loops`]), in head order.

@@ -5,12 +5,21 @@
 //! binds instance ports with continuous assignments, annotates expressions
 //! with Verilog sizing information, and lowers procedural bodies to the
 //! flat instruction lists the simulator executes.
+//!
+//! A testbench run elaborates a DUT together with a driver whose top
+//! module instantiates it. [`PreparedTestbench`] splits that work: the
+//! driver's own signals, assignments and lowered processes are
+//! elaborated once, and [`PreparedTestbench::link`] then elaborates only
+//! the DUT instance per design, producing exactly the [`Design`] that
+//! [`elaborate`] produces for the concatenated sources.
 
 use crate::ast::*;
 use crate::design::*;
 use crate::error::ElabError;
 use crate::logic::LogicVec;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Elaborates `top` (and everything it instantiates) from `file`.
 ///
@@ -22,29 +31,283 @@ use std::collections::HashMap;
 /// bindings, and `always` blocks that could never suspend.
 pub fn elaborate(file: &SourceFile, top: &str) -> Result<Design, ElabError> {
     let _span = correctbench_obs::span(correctbench_obs::Phase::Elab);
-    let mut seen = HashMap::new();
-    for m in &file.modules {
-        if seen.insert(m.name.clone(), ()).is_some() {
-            return Err(ElabError::new(format!("duplicate module `{}`", m.name)));
+    let modules = Modules {
+        first: &file.modules,
+        second: &[],
+    };
+    modules.check_unique()?;
+    let module = modules.get(top).ok_or_else(|| top_not_found(top))?;
+    let mut el = Elaborator::new(modules);
+    el.instantiate(module, "", 0)?;
+    Ok(el.finish())
+}
+
+fn top_not_found(top: &str) -> ElabError {
+    ElabError::new(format!("top module `{top}` not found"))
+}
+
+/// The modules an elaboration may instantiate: one file's, or a DUT's
+/// followed by a driver's — the module order of the two files
+/// concatenated, looked up without building (or cloning) that file.
+#[derive(Clone, Copy)]
+struct Modules<'a> {
+    first: &'a [Module],
+    second: &'a [Module],
+}
+
+impl<'a> Modules<'a> {
+    fn iter(self) -> impl Iterator<Item = &'a Module> {
+        self.first.iter().chain(self.second)
+    }
+
+    /// The first module named `name`, as [`SourceFile::module`] finds it.
+    fn get(self, name: &str) -> Option<&'a Module> {
+        self.iter().find(|m| m.name == name)
+    }
+
+    /// Rejects the first module name declared twice.
+    fn check_unique(self) -> Result<(), ElabError> {
+        let mut seen = HashSet::new();
+        for m in self.iter() {
+            if !seen.insert(m.name.as_str()) {
+                return Err(ElabError::new(format!("duplicate module `{}`", m.name)));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// A testbench elaborated once, ready to have DUTs linked into it.
+///
+/// Preparing elaborates the top module of the driver: its declared
+/// signals and every continuous assignment and process it owns, lowered
+/// once and shared (the process bodies by `Arc`) by every design linked
+/// from it. Each module instance of the top is a hole that
+/// [`PreparedTestbench::link`] elaborates per DUT.
+///
+/// # Examples
+///
+/// ```
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// use correctbench_verilog::elaborate::PreparedTestbench;
+/// use correctbench_verilog::{elaborate, parse};
+///
+/// let dut = parse("module inv(input a, output y); assign y = ~a; endmodule")?;
+/// let driver = parse(
+///     "module tb; reg a; wire y; inv dut(.a(a), .y(y));
+///      initial begin a = 0; #1 $display(\"%0d\", y); end endmodule",
+/// )?;
+/// let prepared = PreparedTestbench::new(driver.clone(), "tb");
+/// let linked = prepared.link(&dut)?;
+///
+/// let mut combined = dut.clone();
+/// combined.modules.extend(driver.modules);
+/// let whole = elaborate(&combined, "tb")?;
+/// assert_eq!(format!("{linked:?}"), format!("{whole:?}"));
+/// # Ok(())
+/// # }
+/// ```
+pub struct PreparedTestbench {
+    driver: SourceFile,
+    top: String,
+    /// `None` when the driver has no module named `top`; a link then
+    /// elaborates whatever top the DUT provides.
+    body: Option<Result<PreparedTop, ElabError>>,
+}
+
+/// The driver's elaborated top module.
+struct PreparedTop {
+    /// Index of the top module in the driver.
+    module: usize,
+    scope: Scope,
+    /// Everything the driver's top produces alone. A link copies
+    /// `design.signals[..declared]`, the declaration-initializer
+    /// process, and the [`Step::Shared`] ranges.
+    design: Design,
+    declared: usize,
+    decl_init: bool,
+    /// One step per behavioural item of the top, in source order, up to
+    /// the first item that fails.
+    steps: Vec<Step>,
+}
+
+enum Step {
+    /// An item whose output does not depend on the DUT, as ranges of
+    /// the prepared design. Its signals are the `repeat` counters it
+    /// allocated; only an item before every instance keeps them.
+    Shared {
+        signals: Range<usize>,
+        assigns: Range<usize>,
+        processes: Range<usize>,
+    },
+    /// Elaborated at link time: a module instance (the DUT), or an item
+    /// after one that allocates counters, whose ids and names follow the
+    /// instance's.
+    Live(usize),
+    /// The item's elaboration error: a link that gets this far fails
+    /// with it.
+    Failed(ElabError),
+}
+
+impl PreparedTestbench {
+    /// Elaborates `driver`'s `top` module, leaving its module instances
+    /// as holes. Never fails: an elaboration error is kept and returned
+    /// by every [`PreparedTestbench::link`] that reaches it, as
+    /// [`elaborate`] would.
+    pub fn new(driver: SourceFile, top: &str) -> PreparedTestbench {
+        let _span = correctbench_obs::span(correctbench_obs::Phase::Elab);
+        let body = driver
+            .modules
+            .iter()
+            .position(|m| m.name == top)
+            .map(|module| prepare_top(&driver, module));
+        PreparedTestbench {
+            driver,
+            top: top.to_string(),
+            body,
         }
     }
-    let module = file
-        .module(top)
-        .ok_or_else(|| ElabError::new(format!("top module `{top}` not found")))?;
-    let mut design = Design::default();
-    let mut el = Elaborator {
-        file,
-        design: &mut design,
-        temp_counter: 0,
-    };
-    el.instantiate(module, "", 0)?;
-    let Design {
-        signals, processes, ..
-    } = &mut design;
-    for p in processes {
-        p.loops = counted_loops(&p.code, signals);
+
+    /// The driver this testbench was prepared from.
+    pub fn driver(&self) -> &SourceFile {
+        &self.driver
     }
-    Ok(design)
+
+    /// Links `dut` into the testbench: the same [`Design`] (signal ids,
+    /// process order and names included) and the same error as
+    /// [`elaborate`] on `dut`'s modules followed by the driver's, without
+    /// concatenating or cloning either file.
+    ///
+    /// # Errors
+    ///
+    /// As [`elaborate`] on the concatenated sources.
+    pub fn link(&self, dut: &SourceFile) -> Result<Design, ElabError> {
+        let _span = correctbench_obs::span(correctbench_obs::Phase::Elab);
+        let modules = Modules {
+            first: &dut.modules,
+            second: &self.driver.modules,
+        };
+        modules.check_unique()?;
+        let mut el = Elaborator::new(modules);
+        let prep = match &self.body {
+            // The names are unique, so the DUT does not define the top.
+            Some(body) => body.as_ref().map_err(Clone::clone)?,
+            None => {
+                let module = modules
+                    .get(&self.top)
+                    .ok_or_else(|| top_not_found(&self.top))?;
+                el.instantiate(module, "", 0)?;
+                return Ok(el.finish());
+            }
+        };
+        let shared = &prep.design;
+        el.design.signals = shared.signals[..prep.declared].to_vec();
+        if prep.decl_init {
+            el.design.processes.push(shared.processes[0].clone());
+        }
+        let items = &self.driver.modules[prep.module].items;
+        // Processes linked from the prepared design carry their counted
+        // loops already; the live ones are marked at the end.
+        let mut live = Vec::new();
+        for step in &prep.steps {
+            match step {
+                Step::Shared {
+                    signals,
+                    assigns,
+                    processes,
+                } => {
+                    debug_assert!(signals.is_empty() || signals.start == el.design.signals.len());
+                    el.design
+                        .signals
+                        .extend_from_slice(&shared.signals[signals.clone()]);
+                    el.temp_counter += signals.len();
+                    el.design
+                        .assigns
+                        .extend_from_slice(&shared.assigns[assigns.clone()]);
+                    for p in &shared.processes[processes.clone()] {
+                        let idx = el.design.processes.len();
+                        el.design.processes.push(ProcessDef {
+                            kind: p.kind,
+                            code: Arc::clone(&p.code),
+                            name: process_name("", p.kind, idx),
+                            loops: p.loops.clone(),
+                        });
+                    }
+                }
+                Step::Live(i) => {
+                    let start = el.design.processes.len();
+                    el.item(&prep.scope, &items[*i], "", 0)?;
+                    live.extend(start..el.design.processes.len());
+                }
+                Step::Failed(e) => return Err(e.clone()),
+            }
+        }
+        let Design {
+            signals, processes, ..
+        } = &mut el.design;
+        for i in live {
+            processes[i].loops = counted_loops(&processes[i].code, signals);
+        }
+        Ok(el.design)
+    }
+}
+
+/// Elaborates the top module `module` of `driver` alone: declarations,
+/// then each behavioural item, leaving instances as holes.
+fn prepare_top(driver: &SourceFile, module: usize) -> Result<PreparedTop, ElabError> {
+    let top = &driver.modules[module];
+    let mut el = Elaborator::new(Modules {
+        first: &driver.modules,
+        second: &[],
+    });
+    let scope = el.declare(top, "", 0)?;
+    let declared = el.design.signals.len();
+    let decl_init = !el.design.processes.is_empty();
+    let mut steps = Vec::with_capacity(top.items.len());
+    let mut after_instance = false;
+    for (i, item) in top.items.iter().enumerate() {
+        if let Item::Instance(_) = item {
+            steps.push(Step::Live(i));
+            after_instance = true;
+            continue;
+        }
+        let before = (
+            el.design.signals.len(),
+            el.design.assigns.len(),
+            el.design.processes.len(),
+        );
+        if let Err(e) = el.item(&scope, item, "", 0) {
+            steps.push(Step::Failed(e));
+            break;
+        }
+        let signals = before.0..el.design.signals.len();
+        if after_instance && !signals.is_empty() {
+            steps.push(Step::Live(i));
+        } else {
+            steps.push(Step::Shared {
+                signals,
+                assigns: before.1..el.design.assigns.len(),
+                processes: before.2..el.design.processes.len(),
+            });
+        }
+    }
+    Ok(PreparedTop {
+        module,
+        scope,
+        design: el.finish(),
+        declared,
+        decl_init,
+        steps,
+    })
+}
+
+/// The debug name of the `idx`-th process, an `initial` or `always`
+/// item of the instance at `prefix`.
+fn process_name(prefix: &str, kind: ProcessKind, idx: usize) -> String {
+    match kind {
+        ProcessKind::Initial => format!("{prefix}initial#{idx}"),
+        ProcessKind::Always => format!("{prefix}always#{idx}"),
+    }
 }
 
 #[derive(Clone)]
@@ -92,12 +355,31 @@ fn checked_width(width: usize, what: &str) -> Result<usize, ElabError> {
 }
 
 struct Elaborator<'a> {
-    file: &'a SourceFile,
-    design: &'a mut Design,
+    modules: Modules<'a>,
+    design: Design,
     temp_counter: usize,
 }
 
 impl<'a> Elaborator<'a> {
+    fn new(modules: Modules<'a>) -> Elaborator<'a> {
+        Elaborator {
+            modules,
+            design: Design::default(),
+            temp_counter: 0,
+        }
+    }
+
+    /// The design, with every process's counted loops marked.
+    fn finish(mut self) -> Design {
+        let Design {
+            signals, processes, ..
+        } = &mut self.design;
+        for p in processes {
+            p.loops = counted_loops(&p.code, signals);
+        }
+        self.design
+    }
+
     #[allow(clippy::too_many_arguments)]
     fn add_signal(
         &mut self,
@@ -146,6 +428,17 @@ impl<'a> Elaborator<'a> {
         prefix: &str,
         depth: usize,
     ) -> Result<Scope, ElabError> {
+        let scope = self.declare(module, prefix, depth)?;
+        for item in &module.items {
+            self.item(&scope, item, prefix, depth)?;
+        }
+        Ok(scope)
+    }
+
+    /// The first half of [`Elaborator::instantiate`]: the module's ports,
+    /// nets and parameters, and the process running the declarations'
+    /// initializers.
+    fn declare(&mut self, module: &Module, prefix: &str, depth: usize) -> Result<Scope, ElabError> {
         if depth > 16 {
             return Err(ElabError::new(format!(
                 "instantiation of `{}` exceeds depth 16 (recursive hierarchy?)",
@@ -273,109 +566,116 @@ impl<'a> Elaborator<'a> {
             code.push(Instr::Halt);
             self.design.processes.push(ProcessDef {
                 kind: ProcessKind::Initial,
-                code,
+                code: code.into(),
                 name: format!("{prefix}$decl_init"),
                 loops: Vec::new(),
             });
         }
+        Ok(scope)
+    }
 
-        // Second pass: behaviour.
-        for item in &module.items {
-            match item {
-                Item::Net(_) | Item::Param(_) => {}
-                Item::Assign(a) => {
-                    let lhs = self.resolve_lvalue(&scope, &a.lhs, SignalKind::Wire)?;
-                    let rhs = self.resolve_expr(&scope, &a.rhs)?;
-                    let mut reads = Vec::new();
-                    rhs.collect_sigs(&mut reads);
-                    collect_lvalue_index_reads(&lhs, &mut reads);
-                    reads.sort();
-                    reads.dedup();
-                    self.design.assigns.push(RAssign { lhs, rhs, reads });
-                }
-                Item::Always(blk) => {
-                    let idx = self.design.processes.len();
-                    let mut comp = BodyCompiler {
-                        el: self,
-                        scope: &scope,
-                        prefix,
-                        code: Vec::new(),
-                        write_kind: SignalKind::Reg,
-                    };
-                    match &blk.event {
-                        Some(EventControl::List(list)) => {
-                            let edges = resolve_event_list(&scope, list)?;
-                            comp.code.push(Instr::WaitEvent(edges));
-                            comp.stmt(&blk.body)?;
-                            let top = 0;
-                            comp.code.push(Instr::Jump(top));
-                        }
-                        Some(EventControl::Star) => {
-                            let mut reads = Vec::new();
-                            blk.body.collect_reads(&mut reads);
-                            let mut edges = Vec::new();
-                            for name in reads {
-                                if let Some(Binding::Sig(s)) = scope.lookup(&name) {
-                                    edges.push((Edge::Any, *s));
-                                }
-                            }
-                            edges.sort_by_key(|(_, s)| *s);
-                            edges.dedup_by_key(|(_, s)| *s);
-                            // Run the body once at time zero, then wait.
-                            comp.stmt(&blk.body)?;
-                            let wait_pc = comp.code.len();
-                            comp.code.push(Instr::WaitEvent(edges));
-                            comp.stmt(&blk.body)?;
-                            comp.code.push(Instr::Jump(wait_pc));
-                        }
-                        None => {
-                            comp.stmt(&blk.body)?;
-                            if !comp
-                                .code
-                                .iter()
-                                .any(|i| matches!(i, Instr::Delay(_) | Instr::WaitEvent(_)))
-                            {
-                                return Err(ElabError::new(
-                                    "always block has no event control or delay",
-                                ));
-                            }
-                            comp.code.push(Instr::Jump(0));
-                        }
+    /// Elaborates one behavioural item of a module (an assignment,
+    /// process or instance) in the module's declared `scope`.
+    fn item(
+        &mut self,
+        scope: &Scope,
+        item: &Item,
+        prefix: &str,
+        depth: usize,
+    ) -> Result<(), ElabError> {
+        match item {
+            Item::Net(_) | Item::Param(_) => {}
+            Item::Assign(a) => {
+                let lhs = self.resolve_lvalue(scope, &a.lhs, SignalKind::Wire)?;
+                let rhs = self.resolve_expr(scope, &a.rhs)?;
+                let mut reads = Vec::new();
+                rhs.collect_sigs(&mut reads);
+                collect_lvalue_index_reads(&lhs, &mut reads);
+                reads.sort();
+                reads.dedup();
+                self.design.assigns.push(RAssign { lhs, rhs, reads });
+            }
+            Item::Always(blk) => {
+                let idx = self.design.processes.len();
+                let mut comp = BodyCompiler {
+                    el: self,
+                    scope,
+                    prefix,
+                    code: Vec::new(),
+                    write_kind: SignalKind::Reg,
+                };
+                match &blk.event {
+                    Some(EventControl::List(list)) => {
+                        let edges = resolve_event_list(scope, list)?;
+                        comp.code.push(Instr::WaitEvent(edges));
+                        comp.stmt(&blk.body)?;
+                        let top = 0;
+                        comp.code.push(Instr::Jump(top));
                     }
-                    let code = comp.code;
-                    self.design.processes.push(ProcessDef {
-                        kind: ProcessKind::Always,
-                        code,
-                        name: format!("{prefix}always#{idx}"),
-                        loops: Vec::new(),
-                    });
+                    Some(EventControl::Star) => {
+                        let mut reads = Vec::new();
+                        blk.body.collect_reads(&mut reads);
+                        let mut edges = Vec::new();
+                        for name in reads {
+                            if let Some(Binding::Sig(s)) = scope.lookup(&name) {
+                                edges.push((Edge::Any, *s));
+                            }
+                        }
+                        edges.sort_by_key(|(_, s)| *s);
+                        edges.dedup_by_key(|(_, s)| *s);
+                        // Run the body once at time zero, then wait.
+                        comp.stmt(&blk.body)?;
+                        let wait_pc = comp.code.len();
+                        comp.code.push(Instr::WaitEvent(edges));
+                        comp.stmt(&blk.body)?;
+                        comp.code.push(Instr::Jump(wait_pc));
+                    }
+                    None => {
+                        comp.stmt(&blk.body)?;
+                        if !comp
+                            .code
+                            .iter()
+                            .any(|i| matches!(i, Instr::Delay(_) | Instr::WaitEvent(_)))
+                        {
+                            return Err(ElabError::new(
+                                "always block has no event control or delay",
+                            ));
+                        }
+                        comp.code.push(Instr::Jump(0));
+                    }
                 }
-                Item::Initial(body) => {
-                    let idx = self.design.processes.len();
-                    let mut comp = BodyCompiler {
-                        el: self,
-                        scope: &scope,
-                        prefix,
-                        code: Vec::new(),
-                        write_kind: SignalKind::Reg,
-                    };
-                    comp.stmt(body)?;
-                    comp.code.push(Instr::Halt);
-                    let code = comp.code;
-                    self.design.processes.push(ProcessDef {
-                        kind: ProcessKind::Initial,
-                        code,
-                        name: format!("{prefix}initial#{idx}"),
-                        loops: Vec::new(),
-                    });
-                }
-                Item::Instance(inst) => {
-                    self.bind_instance(&scope, prefix, inst, depth)?;
-                }
+                let code = comp.code.into();
+                self.design.processes.push(ProcessDef {
+                    kind: ProcessKind::Always,
+                    code,
+                    name: process_name(prefix, ProcessKind::Always, idx),
+                    loops: Vec::new(),
+                });
+            }
+            Item::Initial(body) => {
+                let idx = self.design.processes.len();
+                let mut comp = BodyCompiler {
+                    el: self,
+                    scope,
+                    prefix,
+                    code: Vec::new(),
+                    write_kind: SignalKind::Reg,
+                };
+                comp.stmt(body)?;
+                comp.code.push(Instr::Halt);
+                let code = comp.code.into();
+                self.design.processes.push(ProcessDef {
+                    kind: ProcessKind::Initial,
+                    code,
+                    name: process_name(prefix, ProcessKind::Initial, idx),
+                    loops: Vec::new(),
+                });
+            }
+            Item::Instance(inst) => {
+                self.bind_instance(scope, prefix, inst, depth)?;
             }
         }
-
-        Ok(scope)
+        Ok(())
     }
 
     fn bind_instance(
@@ -386,12 +686,11 @@ impl<'a> Elaborator<'a> {
         depth: usize,
     ) -> Result<(), ElabError> {
         let module = self
-            .file
-            .module(&inst.module)
-            .ok_or_else(|| ElabError::new(format!("unknown module `{}`", inst.module)))?
-            .clone();
+            .modules
+            .get(&inst.module)
+            .ok_or_else(|| ElabError::new(format!("unknown module `{}`", inst.module)))?;
         let inner_prefix = format!("{prefix}{}.", inst.name);
-        let inner_scope = self.instantiate(&module, &inner_prefix, depth + 1)?;
+        let inner_scope = self.instantiate(module, &inner_prefix, depth + 1)?;
 
         // Pair up connections with ports.
         let pairs: Vec<(String, Option<&Expr>)> = match &inst.conns {

@@ -16,20 +16,20 @@
 //! newtype, so a raw `u64` from some other hash cannot be confused for
 //! a content address.
 //!
-//! The old renderers survive as **test-only oracles**: [`debug_hash`]
-//! and [`structural_hash`] define what "distinguishable" means, and the
-//! differential suite (`tests/fingerprint_props.rs`) pins that visitor
-//! fingerprints separate every design pair the pretty-print hash
-//! separates while agreeing on re-parses. Production cache paths must
-//! not call them (a source-scan test in `tbgen` enforces it).
+//! The old renderings survive only inside the tests, as oracles: FNV-1a
+//! over the pretty-print or the `Debug` rendering defines what
+//! "distinguishable" means, and the differential suite
+//! (`tests/fingerprint_props.rs`) pins that visitor fingerprints
+//! separate every design pair the pretty-print hash separates while
+//! agreeing on re-parses. Cache-key paths must not render (a
+//! source-scan test in `tbgen` enforces it).
 
 use crate::ast::{
     AlwaysBlock, AssignItem, CaseArm, CaseKind, Connections, Direction, Edge, EventControl,
     EventExpr, Expr, Instance, Item, LValue, Module, NetDecl, NetKind, ParamDecl, PortDecl, Range,
     SourceFile, Stmt, SysArg, UnaryOp,
 };
-use crate::pretty::print_file;
-use std::fmt::{self, Write};
+use std::fmt;
 
 /// 64-bit FNV-1a over a byte slice.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -603,71 +603,16 @@ impl StructuralHash for Expr {
     }
 }
 
-// ---------------------------------------------------------------------
-// Test-only oracles: the first-generation rendering hashes. They define
-// "distinguishable" for the differential suite; nothing on a cache-key
-// path may call them (enforced by a source-scan test in `tbgen`).
-// ---------------------------------------------------------------------
-
-/// An [`fmt::Write`] sink that folds everything written into an FNV-1a
-/// state, so `Debug`/`Display` streams can be hashed without allocating
-/// the intermediate string.
-#[derive(Clone, Copy, Debug)]
-pub struct FnvWriter(u64);
-
-impl FnvWriter {
-    /// A fresh hasher at the FNV-1a offset basis.
-    pub fn new() -> Self {
-        FnvWriter(0xcbf2_9ce4_8422_2325)
-    }
-
-    /// The accumulated hash.
-    pub fn finish(self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for FnvWriter {
-    fn default() -> Self {
-        FnvWriter::new()
-    }
-}
-
-impl Write for FnvWriter {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        for &b in s.as_bytes() {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        Ok(())
-    }
-}
-
-/// Stable hash of a value's `Debug` rendering. **Test-only oracle**: the
-/// rendering costs as much as the formatting machinery, so cache probes
-/// use [`StructuralHash`] fingerprints instead; this survives as the
-/// reference the differential suite compares visitor fingerprints
-/// against.
-pub fn debug_hash<T: fmt::Debug>(value: &T) -> u64 {
-    let mut w = FnvWriter::new();
-    write!(w, "{value:?}").expect("FnvWriter never fails");
-    w.finish()
-}
-
-/// Stable hash of a parsed source file's pretty-print rendering.
-/// **Test-only oracle** (see [`debug_hash`]): two sources that
-/// pretty-print identically are structurally identical (the printer is a
-/// parser fixpoint — see `tests/roundtrip_props.rs`), which makes this
-/// the canonical "do these designs differ?" reference for the
-/// fingerprint differential suite. Cache keys use
-/// [`SourceFile::fingerprint`].
-pub fn structural_hash(file: &SourceFile) -> u64 {
-    fnv1a64(print_file(file).as_bytes())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::parser::parse;
+    use crate::pretty::print_file;
+
+    /// The pretty-print oracle: FNV-1a over the rendered source.
+    fn structural_hash(file: &SourceFile) -> u64 {
+        fnv1a64(print_file(file).as_bytes())
+    }
 
     const SRC: &str =
         "module inc(input [3:0] a, output [3:0] y);\nassign y = a + 4'd1;\nendmodule\n";
@@ -678,14 +623,6 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
-    }
-
-    #[test]
-    fn writer_matches_slice_hash() {
-        let mut w = FnvWriter::new();
-        use std::fmt::Write as _;
-        w.write_str("foobar").unwrap();
-        assert_eq!(w.finish(), fnv1a64(b"foobar"));
     }
 
     #[test]

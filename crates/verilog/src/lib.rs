@@ -65,7 +65,7 @@ pub mod sysfmt;
 pub use design::{Design, SignalId};
 pub use elaborate::elaborate;
 pub use error::{ElabError, ParseError, SimError, VerilogError};
-pub use hash::{fnv1a64, structural_hash, Fingerprint, FingerprintHasher, StructuralHash};
+pub use hash::{fnv1a64, Fingerprint, FingerprintHasher, StructuralHash};
 pub use lint::{lint_file, Diagnostic, LintReport, Rule, Severity};
 pub use logic::{Bit, LogicVec};
 pub use parser::parse;
